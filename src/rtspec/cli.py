@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from ._threads import single_threaded_blas
 from .config import RunConfig, load_config
+from .equilibria import char_length
 from .errors import CoercivityError, ConfigError, NoUnstableBranchError, NumericalError
 from .growth_solver import NO_UNSTABLE_BRANCH, GrowthRecord, dispersion, lambda_max
 from .modes import MODE_COLUMNS, build_normal_mode, mode_table
@@ -34,23 +34,6 @@ CSV_HEADER = "k,n,lambda_n,residual,iterations,converged"
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RTSPEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"RTSPEC_THREADS must be an integer, got {raw!r}")
-
-
-def _map_ordered(fn, items):
-    """Apply fn preserving order; thread count from RTSPEC_THREADS."""
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_lines(path: str | Path, config: RunConfig, lines: list[str]) -> None:
@@ -77,11 +60,7 @@ def cmd_dispersion(config: RunConfig, args) -> int:
         ks = np.array([args.k_min])
     else:
         ks = np.geomspace(args.k_min, args.k_max, args.n_k)
-
-    def solve_one(k: float):
-        return dispersion(mesh, profile, params, [k], n_max, settings)
-
-    records = [r for group in _map_ordered(solve_one, ks) for r in group]
+    records = dispersion(mesh, profile, params, ks, n_max, settings)
     lines = [CSV_HEADER] + [_record_row(r) for r in records]
     _write_lines(args.out, config, lines)
     bad = [r for r in records if not r.converged
@@ -97,7 +76,6 @@ def cmd_lambda_max(config: RunConfig, args) -> int:
     mesh, profile, params = config.mesh(), config.profile(), config.params()
     result = lambda_max(mesh, profile, params, config["lattice.Kmax"],
                         config.solver_settings())
-    from .equilibria import char_length
     _, cap = char_length(profile, params.g)
     print(f"Lambda = {_fmt(result.Lambda)}")
     print(f"argmax |k| = {_fmt(result.argmax_k)}")
@@ -197,6 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if single_threaded_blas() == 0:
+        print("rtspec: no OpenBLAS found to pin to one thread; BLAS keeps "
+              "its own thread settings", file=sys.stderr)
     try:
         config = load_config(args.config)
         handler = {

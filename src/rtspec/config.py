@@ -7,6 +7,7 @@ tolerance key is the classic way a numerics run goes quietly wrong.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,11 +113,11 @@ def _coerce(key: str, raw: str):
 
 
 def _validate(table: dict[str, object]) -> None:
-    positive = [k for k, t in _SCHEMA.items()
-                if t in (int, float) and k != "seed"]
-    for key in positive:
+    for key, kind in _SCHEMA.items():
         value = table[key]
-        if not value > 0:
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value}")
+        if kind in (int, float) and key != "seed" and not value > 0:
             raise ConfigError(f"config key {key!r} must be positive, got {value}")
 
 

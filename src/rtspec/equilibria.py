@@ -25,6 +25,9 @@ PROFILE_KINDS = ("bump", "quintic")
 _BUMP_PANELS = 2048
 _BUMP_GL_POINTS = 16
 
+# Grid points of the search for max drho0/rho0 on [-a, 0].
+_PEAK_GRID_POINTS = 100_000
+
 
 def _bump_shape(y: np.ndarray) -> np.ndarray:
     """exp(-1/(1-y^2)) on (-1, 1), zero outside; all derivatives vanish at +-1."""
@@ -99,6 +102,12 @@ class DensityProfile:
         cum = np.concatenate(([0.0], np.cumsum(panel)))
         return edges, cum, float(cum[-1])
 
+    @cached_property
+    def _peak_ratio(self) -> float:
+        """max drho0/rho0, by dense grid search on [-a, 0]."""
+        grid = np.linspace(-self.a, 0.0, _PEAK_GRID_POINTS)
+        return float((self.drho0(grid) / self.rho0(grid)).max())
+
     def _bump_cdf(self, y: np.ndarray) -> np.ndarray:
         """Normalized integral of the bump shape from -1 to y, clipped to [0, 1]."""
         edges, cum, total = self._bump_table
@@ -149,16 +158,15 @@ class DensityProfile:
         return out if out.ndim else float(out)
 
 
-def char_length(profile: DensityProfile, g: float, n_grid: int = 100_000):
+def char_length(profile: DensityProfile, g: float):
     """Characteristic length L0 and the universal growth-rate cap sqrt(g/L0).
 
     1/L0 is the maximum of drho0/rho0, located by dense grid search on
-    [-a, 0] (the ratio has no closed-form maximizer).  A profile with
-    drho0 identically zero returns (inf, 0.0).
+    [-a, 0] (the ratio has no closed-form maximizer).  The search runs once
+    per profile instance and is cached on it, so repeated calls are cheap.
+    A profile with drho0 identically zero returns (inf, 0.0).
     """
-    grid = np.linspace(-profile.a, 0.0, n_grid)
-    ratio = profile.drho0(grid) / profile.rho0(grid)
-    peak = float(ratio.max())
+    peak = profile._peak_ratio
     if peak == 0.0:
         return math.inf, 0.0
     return 1.0 / peak, math.sqrt(g * peak)

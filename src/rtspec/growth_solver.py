@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Mesh
-from .equilibria import DensityProfile, PhysicalParams
+from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError, NumericalError
 from .spectral_core import FormCache, assemble_B, gamma_values
 
@@ -99,7 +99,7 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         raise ValueError("branch index n must be at least 1")
     if cache is None:
         cache = FormCache(mesh, profile, params)
-    cap = cache.growth_cap
+    _, cap = char_length(profile, params.g)
     if cap == 0.0:
         return _no_branch(k, n)
     gk2 = params.g * k * k
@@ -227,16 +227,11 @@ def lambda_max(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     argmax_k is NaN.
     """
     mags = lattice_magnitudes(params.L1, params.L2, Kmax)
-    records = []
-    for m in mags:
-        records.append(solve_lambda_n(mesh, profile, params, float(m), 1,
-                                      settings))
-    best = None
-    for rec in records:
-        if rec.converged and (best is None or rec.lambda_n > best.lambda_n):
-            best = rec
+    records = tuple(dispersion(mesh, profile, params, mags, 1, settings))
+    best = max((r for r in records if r.converged),
+               key=lambda r: r.lambda_n, default=None)
     if best is None:
         return LambdaMaxResult(Lambda=0.0, argmax_k=math.nan,
-                               lattice_cutoff=Kmax, records=tuple(records))
+                               lattice_cutoff=Kmax, records=records)
     return LambdaMaxResult(Lambda=best.lambda_n, argmax_k=best.k,
-                           lattice_cutoff=Kmax, records=tuple(records))
+                           lattice_cutoff=Kmax, records=records)

@@ -230,17 +230,10 @@ def evaluate_field(mode: NormalMode, t: float, x) -> FieldSample:
     phase = k1 * x1 + k2 * x2
     growth = math.exp(mode.lambda_n * t)
     s, c = math.sin(phase), math.cos(phase)
-    lo = -mode.psi.mesh.a
-    if x3 >= lo:
-        psi_v, var_v = mode.psi(x3), mode.varphi(x3)
-    else:
-        # below the truncation depth, continue with the slow decay branch
-        decay = math.exp(mode.tau_minus * (x3 - lo))
-        psi_v, var_v = decay * mode.psi(lo), decay * mode.varphi(lo)
     return FieldSample(
         zeta=growth * c * mode.omega(x3),
-        u1=growth * s * psi_v,
-        u2=growth * s * var_v,
+        u1=growth * s * mode.psi(x3),
+        u2=growth * s * mode.varphi(x3),
         u3=growth * c * mode.phi(x3),
         q=growth * c * mode.pressure(x3),
         eta=growth * c * mode.nu,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._threads import single_threaded_blas
 from .discretization import (
     Mesh,
     SymForm,
@@ -34,7 +33,7 @@ from .discretization import (
     assemble_weighted_mass,
     boundary_quotient_form,
 )
-from .equilibria import DensityProfile, PhysicalParams, char_length
+from .equilibria import DensityProfile, PhysicalParams
 from .errors import CoercivityError
 
 # Eigenvalues at or below this fraction of the largest one are treated as
@@ -102,25 +101,23 @@ class FormCache:
                              assemble_weighted_gradient_form(self.mesh, self.profile, k))
         return self._by_k[k]
 
-    @property
-    def growth_cap(self) -> float:
-        if not hasattr(self, "_cap"):
-            self._cap = char_length(self.profile, self.params.g)[1]
-        return self._cap
-
 
 def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                k: float, lam: float, cache: FormCache | None = None) -> PencilAssembly:
-    """Assemble the SPD operator K and mass Mw; Cholesky-checks K."""
+    """Assemble the SPD operator K and mass Mw; Cholesky-checks K.
+
+    K is exactly symmetric: the interior forms are symmetrized on scatter
+    and the boundary forms are symmetric by construction.  The Cholesky is
+    the only definiteness check of the full K: ``eigh`` factors the
+    moment-constrained K, and ``coercivity_ratio`` factors H2.
+    """
     if cache is None:
         cache = FormCache(mesh, profile, params)
     h2, wgrad = cache.interior(k)
     bv0, bva = assemble_boundary_forms(mesh, k, lam, params, profile)
     kmat = lam * wgrad.matrix + params.mu * h2.matrix + bv0.matrix + bva.matrix
-    kmat = 0.5 * (kmat + kmat.T)
     try:
-        with single_threaded_blas():
-            np.linalg.cholesky(kmat)
+        np.linalg.cholesky(kmat)
     except np.linalg.LinAlgError as exc:
         raise CoercivityError(
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"
@@ -164,8 +161,7 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     mw, kmat, row = _reduced_pencil(pencil)
-    with single_threaded_blas():
-        vals, vecs = sla.eigh(mw, kmat)
+    vals, vecs = sla.eigh(mw, kmat)
     top = vals[-1] if vals.size else 0.0
     keep = vals > max(0.0, DROP_THRESHOLD * top)
     vals, vecs = vals[keep][::-1], vecs[:, keep][:, ::-1]
@@ -188,9 +184,8 @@ def gamma_values(pencil: PencilAssembly, n_max: int) -> np.ndarray:
     mw, kmat, _ = _reduced_pencil(pencil)
     dof = kmat.shape[0]
     lo = max(0, dof - n_max)
-    with single_threaded_blas():
-        vals = sla.eigh(mw, kmat, eigvals_only=True, overwrite_a=True,
-                        overwrite_b=True, subset_by_index=(lo, dof - 1))
+    vals = sla.eigh(mw, kmat, eigvals_only=True, overwrite_a=True,
+                    overwrite_b=True, subset_by_index=(lo, dof - 1))
     top = vals[-1] if vals.size else 0.0
     vals = vals[vals > max(0.0, DROP_THRESHOLD * top)]
     return vals[::-1]
@@ -206,8 +201,7 @@ def boundary_quotient_spectrum(mesh: Mesh, k: float,
     """
     q = boundary_quotient_form(mesh, k)
     h2 = assemble_h2_form(mesh, k)
-    with single_threaded_blas():
-        vals = sla.eigh(q.matrix, h2.matrix, eigvals_only=True)
+    vals = sla.eigh(q.matrix, h2.matrix, eigvals_only=True)
     vals = vals[np.abs(vals) > magnitude_floor]
     return np.sort(vals)[::-1]
 
@@ -222,9 +216,8 @@ def coercivity_ratio(mesh: Mesh, profile: DensityProfile, params: PhysicalParams
     pencil = assemble_B(mesh, profile, params, k, lam, cache=cache)
     h2 = (cache.interior(k)[0] if cache is not None
           else assemble_h2_form(mesh, k))
-    with single_threaded_blas():
-        vals = sla.eigh(pencil.K.matrix / params.mu, h2.matrix,
-                        eigvals_only=True, subset_by_index=(0, 0))
+    vals = sla.eigh(pencil.K.matrix / params.mu, h2.matrix,
+                    eigvals_only=True, subset_by_index=(0, 0))
     return float(vals[0])
 
 

@@ -17,6 +17,7 @@ from .discretization import HermiteFunction, Mesh, build_mesh, quadrature
 from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError
 from .growth_solver import (
+    FIXED_POINT_RTOL,
     GrowthRecord,
     SolverSettings,
     lambda_max,
@@ -33,7 +34,6 @@ from .spectral_core import (
 )
 
 ENERGY_RTOL = 1e-5
-FIXED_POINT_RTOL = 1e-8
 INEQUALITY_SLACK = 1e-6
 TIGHTNESS_GAP = 1e-4
 APPENDIX_D_ATOL = 1e-6

@@ -1,12 +1,21 @@
+import ctypes
 import os
 
 import numpy as np
 import pytest
 
 import rtspec as rt
+from rtspec import _threads
 from rtspec.cli import CSV_HEADER, main
 from rtspec.config import load_config
 from rtspec.errors import ConfigError
+
+# (setter, getter) symbol names of numpy's, scipy's and a plain OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def test_defaults_resolve(tmp_path):
@@ -46,6 +55,18 @@ def test_config_rejects_unknown_and_bad_values(tmp_path):
     path.write_text("profile.kind maybe\n")
     with pytest.raises(ConfigError, match="key = value"):
         load_config(path)
+    for line in ("lattice.Kmax = inf", "profile.a = inf",
+                 "profile.rho_plus = inf", "params.mu = inf",
+                 "params.g = nan"):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
+
+
+def test_non_finite_config_exits_2(tmp_path):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("lattice.Kmax = inf\n")
+    assert main(["lambda-max", "--config", str(cfg)]) == 2
 
 
 def test_config_echo_has_every_key():
@@ -80,14 +101,45 @@ def test_dispersion_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_dispersion_parallel_matches_serial(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-    argv = ["dispersion", "--k-min", "0.5", "--k-max", "2", "--n-k", "4",
-            "--n-max", "1"]
-    assert main(argv + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("RTSPEC_THREADS", "2")
-    assert main(argv + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def _openblas_thread_controls():
+    """(setter, getter) of the thread count of every loaded OpenBLAS."""
+    controls = []
+    for path in _threads._loaded_openblas():
+        lib = ctypes.CDLL(path)
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+def test_cli_pins_every_loaded_openblas(tmp_path):
+    controls = _openblas_thread_controls()
+    assert controls, "no OpenBLAS library is loaded"
+    try:
+        for setter, getter in controls:
+            setter(2)
+            assert getter() == 2
+        assert main(["dispersion", "--k-min", "1", "--k-max", "1", "--n-k", "1",
+                     "--n-max", "1", "--out", str(tmp_path / "x.csv")]) == 0
+        assert [getter() for _, getter in controls] == [1] * len(controls)
+    finally:
+        for setter, _ in controls:
+            setter(1)
+
+
+def test_cli_runs_when_no_openblas_is_found(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_threads, "_loaded_openblas", lambda: [])
+    out = tmp_path / "x.csv"
+    assert main(["dispersion", "--k-min", "1", "--k-max", "1", "--n-k", "1",
+                 "--n-max", "1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "no OpenBLAS found" in captured.err
+    assert "OpenBLAS" not in captured.out
+    assert len(out.read_text().splitlines()) > 1
 
 
 def test_dispersion_rejects_bad_range(tmp_path):

@@ -191,12 +191,15 @@ def test_evaluate_field(mode64):
         rt.evaluate_field(mode, 0.0, (0.0, 0.0, 0.1))
 
 
-def test_field_below_truncation_uses_decay_branch(mode64):
+def test_field_below_sampled_depth_uses_closed_form(mode64):
+    # the horizontal amplitudes are -k_c phi'/k^2 on the whole half line,
+    # also below the sampled depth of psi.mesh
     lo = -mode64.psi.mesh.a
-    inside = rt.evaluate_field(mode64, 0.0, (0.2, 0.0, lo))
-    deeper = rt.evaluate_field(mode64, 0.0, (0.2, 0.0, lo - 1.0))
-    expected = inside.u1 * math.exp(-mode64.tau_minus)
-    assert deeper.u1 == pytest.approx(expected, rel=1e-12)
+    k1 = mode64.k_vec[0]
+    for x3 in (lo - 1.0, lo - 5.0):
+        sample = rt.evaluate_field(mode64, 0.0, (0.2, 0.0, x3))
+        expected = math.sin(k1 * 0.2) * (-k1 / mode64.k**2) * mode64.phi(x3, 1)
+        assert sample.u1 == pytest.approx(expected, rel=1e-12)
 
 
 def test_mode_table_format(mode64):
