@@ -4,8 +4,10 @@ The n-th growth rate at wavenumber k is the unique root of
 ``f(lam) = g k^2 gamma_n(lam, k) - lam`` on (0, sqrt(g/L0)].  Uniqueness
 comes from strict monotonicity of lam / gamma_n(lam, k) (every term of
 the quadratic form lam * B_lam grows with lam), which pins the sign
-structure of f: positive below the root, negative above.  Bisection is
-therefore unconditionally safe even where gamma_n itself is not monotone.
+structure of f: positive below the root, negative above.  The root is
+found by Brent's method, which keeps a bracket with f > 0 at one end and
+f < 0 at the other, so it is safe even where gamma_n itself is not
+monotone, and converges superlinearly where f is smooth.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ BRACKET_FLOOR = 1e-12
 
 # A converged record must reproduce its own fixed point to this relative level.
 FIXED_POINT_RTOL = 1e-8
+
+# lattice_magnitudes refuses to enumerate more (i, j) points than this.
+MAX_LATTICE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,13 @@ def _no_branch(k: float, n: int) -> GrowthRecord:
 def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                    k: float, n: int, settings: SolverSettings = SolverSettings(),
                    cache: FormCache | None = None) -> GrowthRecord:
-    """Bisect for the n-th growth rate at wavenumber k.
+    """Solve for the n-th growth rate at wavenumber k with Brent's method.
+
+    The root of f starts bracketed by [BRACKET_FLOOR * cap, cap]; the
+    bracket shrinks until its width is at most ``settings.tol_rel`` times
+    its upper end, or for at most ``settings.max_iter`` steps (one
+    evaluation each).  The bracket end with the smaller |f| is returned;
+    ``iterations`` counts the steps after the two end evaluations.
 
     Returns a non-converged record with reason ``no-unstable-branch`` when
     the branch is absent (degenerate stratification, or n beyond the
@@ -98,7 +109,7 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     if n < 1:
         raise ValueError("branch index n must be at least 1")
     if cache is None:
-        cache = FormCache(mesh, profile, params)
+        cache = FormCache(mesh, profile)
     _, cap = char_length(profile, params.g)
     if cap == 0.0:
         return _no_branch(k, n)
@@ -123,30 +134,60 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         raise NumericalError(
             f"fixed-point bracket failed at k={k}, n={n}: f({cap}) >= 0")
 
+    # Brent's zeroin (Brent 1973, ch. 4).  b is the best estimate, c the
+    # contrapoint with f(c) of the opposite sign, so [b, c] (in either
+    # order) always brackets the root; a is the previous b.
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
     iterations = 0
-    while hi - lo > settings.tol_rel * hi and iterations < settings.max_iter:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm is None:
-            return _no_branch(k, n)
-        if fm > 0.0:
-            lo = mid
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0:  # an exact root closes the bracket
+            c = b
+        tol = 0.5 * settings.tol_rel * max(b, c)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or iterations >= settings.max_iter:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb is None:
+            return _no_branch(k, n)
         iterations += 1
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
-    lam = 0.5 * (lo + hi)
-    final = f(lam)
-    residual = abs(final)
-    interval_ok = hi - lo <= settings.tol_rel * hi
-    converged = interval_ok and residual <= FIXED_POINT_RTOL * lam
+    residual = abs(fb)
+    interval_ok = abs(c - b) <= settings.tol_rel * max(b, c)
+    converged = interval_ok and residual <= FIXED_POINT_RTOL * b
     if converged:
         reason = None
     elif not interval_ok:
         reason = MAX_ITERATIONS
     else:
         reason = RESIDUAL_ABOVE_TOLERANCE
-    return GrowthRecord(k=k, n=n, lambda_n=lam, residual=residual,
+    return GrowthRecord(k=k, n=n, lambda_n=b, residual=residual,
                         iterations=iterations, converged=converged,
                         reason=reason)
 
@@ -161,7 +202,7 @@ def dispersion(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     """
     records: list[GrowthRecord] = []
     for k in k_values:
-        cache = FormCache(mesh, profile, params)
+        cache = FormCache(mesh, profile)
         absent = False
         for n in range(1, n_max + 1):
             if absent:
@@ -198,23 +239,31 @@ def refinement_agreement(mesh: Mesh, profile: DensityProfile,
 
 
 def lattice_magnitudes(L1: float, L2: float, Kmax: float) -> np.ndarray:
-    """Distinct nonzero magnitudes of the lattice (i/L1, j/L2), |k| <= Kmax."""
-    if not Kmax > 0.0:
-        raise ConfigError("lattice.Kmax must be strictly positive")
+    """Distinct nonzero magnitudes of the lattice (i/L1, j/L2), |k| <= Kmax.
+
+    Magnitudes equal to 12 decimals count as one; the first one found is
+    kept exactly as ``math.hypot`` gives it.
+    """
+    if not 0.0 < Kmax < math.inf:
+        raise ConfigError("lattice.Kmax must be strictly positive and finite")
     i_max = int(math.floor(Kmax * L1 + 1e-12))
     j_max = int(math.floor(Kmax * L2 + 1e-12))
-    mags = set()
+    if (i_max + 1) * (j_max + 1) > MAX_LATTICE_POINTS:
+        raise ConfigError(
+            f"lattice.Kmax={Kmax} spans {(i_max + 1) * (j_max + 1)} lattice "
+            f"points, more than {MAX_LATTICE_POINTS}")
+    mags: dict[float, float] = {}
     for i in range(i_max + 1):
         for j in range(j_max + 1):
             if i == 0 and j == 0:
                 continue
             m = math.hypot(i / L1, j / L2)
             if m <= Kmax * (1.0 + 1e-12):
-                mags.add(round(m, 12))
+                mags.setdefault(round(m, 12), m)
     if not mags:
         raise ConfigError(
             f"no lattice wavenumbers with magnitude <= Kmax={Kmax}")
-    return np.array(sorted(mags))
+    return np.array(sorted(mags.values()))
 
 
 def lambda_max(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,

@@ -175,7 +175,7 @@ def build_normal_mode(mesh: Mesh, profile: DensityProfile, params: PhysicalParam
     k = math.hypot(k1, k2)
     if k == 0.0:
         raise ValueError("zero wavenumber excluded")
-    cache = FormCache(mesh, profile, params)
+    cache = FormCache(mesh, profile)
     if record is None:
         record = solve_lambda_n(mesh, profile, params, k, n, settings, cache=cache)
     if not record.converged:

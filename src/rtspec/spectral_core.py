@@ -82,11 +82,9 @@ class FormCache:
     WMASS are cached.  Immutable inputs make this safe to share.
     """
 
-    def __init__(self, mesh: Mesh, profile: DensityProfile,
-                 params: PhysicalParams):
+    def __init__(self, mesh: Mesh, profile: DensityProfile):
         self.mesh = mesh
         self.profile = profile
-        self.params = params
         self._by_k: dict[float, tuple[SymForm, SymForm]] = {}
         self._wmass: SymForm | None = None
 
@@ -112,7 +110,7 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     moment-constrained K, and ``coercivity_ratio`` factors H2.
     """
     if cache is None:
-        cache = FormCache(mesh, profile, params)
+        cache = FormCache(mesh, profile)
     h2, wgrad = cache.interior(k)
     bv0, bva = assemble_boundary_forms(mesh, k, lam, params, profile)
     kmat = lam * wgrad.matrix + params.mu * h2.matrix + bv0.matrix + bva.matrix

@@ -201,7 +201,7 @@ def fixed_point_residual(mesh: Mesh, profile: DensityProfile,
     if not record.converged:
         return CheckReport.make("fixed-point", 0.0, FIXED_POINT_RTOL,
                                 vacuous=True, k=record.k, n=record.n)
-    cache = FormCache(mesh, profile, params)
+    cache = FormCache(mesh, profile)
     gammas = gamma_values(assemble_B(mesh, profile, params, record.k,
                                      record.lambda_n, cache=cache), record.n)
     gk2 = params.g * record.k**2
@@ -224,7 +224,7 @@ def monotonicity_probe(mesh: Mesh, profile: DensityProfile,
     grid = np.asarray(lambda_grid, dtype=float)
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("lambda grid must be strictly increasing")
-    cache = FormCache(mesh, profile, params)
+    cache = FormCache(mesh, profile)
     gam = []
     for lam in grid:
         g = gamma_values(assemble_B(mesh, profile, params, k, float(lam),

@@ -62,7 +62,7 @@ def test_c02_coercivity_bound(profile, params, mesh64, growth_cap):
     worst_margin = math.inf
     for k in (0.5, 1.0, 2.0):
         bound = 2.0 * (math.sinh(k) - k) / (3.0 * math.sinh(k) - k)
-        cache = rt.FormCache(mesh64, profile, params)
+        cache = rt.FormCache(mesh64, profile)
         for lam in np.linspace(growth_cap / 10.0, growth_cap, 10):
             ratio = rt.coercivity_ratio(mesh64, profile, params, k,
                                         float(lam), cache=cache)
@@ -179,7 +179,7 @@ def test_c08_gamma_monotonicity(profile, params, mesh64, growth_cap):
     k, n_branches = 1.0, 4
     gk2 = params.g * k * k
     grid = np.geomspace(1e-3, growth_cap, 20)
-    cache = rt.FormCache(mesh64, profile, params)
+    cache = rt.FormCache(mesh64, profile)
     surface = np.zeros(mesh64.dof_count)
     surface[mesh64.right_value_dof] = 1.0
     surface_form = profile.rho_plus * np.outer(surface, surface)

@@ -69,6 +69,13 @@ def test_non_finite_config_exits_2(tmp_path):
     assert main(["lambda-max", "--config", str(cfg)]) == 2
 
 
+def test_oversized_lattice_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("lattice.Kmax = 1e7\n")
+    assert main(["lambda-max", "--config", str(cfg)]) == 2
+    assert "lattice points" in capsys.readouterr().err
+
+
 def test_config_echo_has_every_key():
     cfg = load_config()
     lines = cfg.echo_lines()

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rtspec as rt
+from rtspec import growth_solver
 from rtspec.errors import ConfigError
-from rtspec.growth_solver import NO_UNSTABLE_BRANCH
+from rtspec.growth_solver import MAX_ITERATIONS, NO_UNSTABLE_BRANCH
 from rtspec.spectral_core import gamma_values
 
 from oracle_collocation import oracle_lambda
@@ -39,7 +41,7 @@ def test_leading_rate_cross_discretization(profile, params, mesh64, mesh128):
 
 def test_branches_decrease_and_stay_below_cap(profile, params, mesh64,
                                               growth_cap):
-    cache = rt.FormCache(mesh64, profile, params)
+    cache = rt.FormCache(mesh64, profile)
     lams = []
     for n in (1, 2, 3, 4):
         rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, n, cache=cache)
@@ -53,7 +55,7 @@ def test_branches_decrease_and_stay_below_cap(profile, params, mesh64,
 @pytest.mark.parametrize("n", [1, 2])
 def test_fixed_point_function_single_sign_change(profile, params, mesh64,
                                                  growth_cap, n):
-    cache = rt.FormCache(mesh64, profile, params)
+    cache = rt.FormCache(mesh64, profile)
     k = 1.0
     grid = np.geomspace(1e-12 * growth_cap, growth_cap, 50)
     signs = []
@@ -63,6 +65,86 @@ def test_fixed_point_function_single_sign_change(profile, params, mesh64,
         signs.append(np.sign(params.g * k * k * g[n - 1] - lam))
     changes = np.count_nonzero(np.diff(signs))
     assert changes == 1
+
+
+def _fixed_point(mesh, profile, params, k, n, lam):
+    gammas = gamma_values(rt.assemble_B(mesh, profile, params, k, lam), n)
+    return params.g * k * k * gammas[n - 1] - lam
+
+
+def _assert_bracketed(mesh, profile, params, rec):
+    lam = rec.lambda_n
+    assert _fixed_point(mesh, profile, params, rec.k, rec.n,
+                        lam * (1.0 - 1e-6)) > 0.0
+    assert _fixed_point(mesh, profile, params, rec.k, rec.n,
+                        lam * (1.0 + 1e-6)) < 0.0
+
+
+def test_root_finder_converges_in_few_steps(profile, params, mesh64):
+    # bisection to the default 1e-10 width takes 38-48 steps here
+    cache = rt.FormCache(mesh64, profile)
+    for n in (1, 2, 3, 4):
+        rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, n, cache=cache)
+        assert rec.converged
+        assert rec.iterations <= 15
+        _assert_bracketed(mesh64, profile, params, rec)
+
+
+def test_unreachable_tolerance_stops_at_max_iter(profile, params, mesh64):
+    settings_ = rt.SolverSettings(tol_rel=1e-20)
+    rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, 1, settings_)
+    assert not rec.converged
+    assert rec.reason == MAX_ITERATIONS
+    assert rec.iterations == settings_.max_iter
+
+
+def _solve_synthetic(monkeypatch, mesh, profile, params, defect):
+    # f(lam) = defect(lam) on the rate interval (0, 1]: gamma_1 = lam + defect
+    monkeypatch.setattr(growth_solver, "char_length", lambda prof, g: (1.0, 1.0))
+    monkeypatch.setattr(growth_solver, "assemble_B",
+                        lambda mesh, prof, par, k, lam, cache=None: lam)
+    monkeypatch.setattr(growth_solver, "gamma_values",
+                        lambda lam, n: np.array([lam + defect(lam)]))
+    return rt.solve_lambda_n(mesh, profile, params, 1.0, 1)
+
+
+def test_exact_zero_ends_the_root_finder(monkeypatch, profile, params, mesh64):
+    # f vanishes on [0.3, 0.5]; the first secant step lands there
+    rec = _solve_synthetic(monkeypatch, mesh64, profile, params,
+                           lambda lam: max(0.3 - lam, 0.0) + min(0.5 - lam, 0.0))
+    assert rec.converged
+    assert rec.residual == 0.0
+    assert 0.3 <= rec.lambda_n <= 0.5
+    assert rec.iterations == 1
+
+
+def test_root_finder_survives_poor_interpolation(monkeypatch, profile, params,
+                                                 mesh64):
+    # flat above the root and steep below it: unguarded interpolation crawls
+    rec = _solve_synthetic(monkeypatch, mesh64, profile, params,
+                           lambda lam: math.exp(-50.0 * lam) - math.exp(-15.0))
+    assert rec.converged
+    assert abs(rec.lambda_n - 0.3) <= 1e-10
+    assert rec.iterations <= 40  # bisection needs 35 steps here
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(["bump", "quintic"]),
+       rho_plus=st.floats(1.1, 3.0),
+       k=st.floats(0.2, 4.0))
+def test_solver_invariants_on_random_profiles(params, kind, rho_plus, k):
+    prof = rt.DensityProfile(rho_minus=1.0, rho_plus=rho_plus, a=1.0,
+                             kind=kind)
+    mesh = rt.build_mesh(prof.a, 32)
+    _, cap = rt.char_length(prof, params.g)
+    records = rt.dispersion(mesh, prof, params, [k], 3)
+    assert all(r.reason != MAX_ITERATIONS for r in records)
+    converged = [r for r in records if r.converged]
+    for rec in converged:
+        assert 0.0 < rec.lambda_n <= cap
+        _assert_bracketed(mesh, prof, params, rec)
+    lams = [r.lambda_n for r in converged]
+    assert all(a > b for a, b in zip(lams, lams[1:]))
 
 
 def test_wavenumber_enters_through_magnitude_only(profile, params, mesh64):
@@ -107,6 +189,18 @@ def test_lattice_magnitudes():
         rt.lattice_magnitudes(1.0, 1.0, 0.4)
 
 
+def test_lattice_magnitudes_are_exact():
+    assert math.sqrt(2.0) in rt.lattice_magnitudes(1.0, 1.0, 1.5)
+    assert math.hypot(1.0, 2.0) in rt.lattice_magnitudes(1.0, 1.0, 2.5)
+
+
+def test_lattice_size_is_bounded():
+    with pytest.raises(ConfigError, match="lattice points"):
+        rt.lattice_magnitudes(1.0, 1.0, 1e7)
+    with pytest.raises(ConfigError, match="finite"):
+        rt.lattice_magnitudes(1.0, 1.0, math.inf)
+
+
 def test_lambda_max_small_lattice(profile, params, growth_cap):
     mesh = rt.build_mesh(1.0, 32)
     res = rt.lambda_max(mesh, profile, params, 1.0)
@@ -115,8 +209,7 @@ def test_lambda_max_small_lattice(profile, params, growth_cap):
     assert res.argmax_k == 1.0
     assert res.Lambda <= growth_cap
     res2 = rt.lambda_max(mesh, profile, params, 1.5)
-    assert {r.k for r in res2.records} == {1.0,
-                                           round(math.sqrt(2.0), 12)}
+    assert {r.k for r in res2.records} == {1.0, math.sqrt(2.0)}
     assert res2.Lambda == max(r.lambda_n for r in res2.records
                               if r.converged)
 

@@ -48,7 +48,7 @@ def test_degenerate_profile_keeps_operator_spd(degenerate_profile, params,
 def test_rate_dependence_is_gradient_form_plus_boundary(profile, params,
                                                         mesh64):
     lam1, lam2, k = 0.2, 0.7, 1.0
-    cache = rt.FormCache(mesh64, profile, params)
+    cache = rt.FormCache(mesh64, profile)
     k1 = rt.assemble_B(mesh64, profile, params, k, lam1, cache=cache).K.matrix
     k2 = rt.assemble_B(mesh64, profile, params, k, lam2, cache=cache).K.matrix
     wgrad = cache.interior(k)[1].matrix
@@ -159,7 +159,7 @@ def test_boundary_quotient_min_limit(mesh64):
 def test_coercivity_ratio_respects_bound(profile, params, mesh64, growth_cap):
     for k in (0.5, 1.0, 2.0):
         bound = rt.coercivity_bound(k * mesh64.a)
-        cache = rt.FormCache(mesh64, profile, params)
+        cache = rt.FormCache(mesh64, profile)
         for lam in np.linspace(growth_cap / 10, growth_cap, 10):
             ratio = rt.coercivity_ratio(mesh64, profile, params, k,
                                         float(lam), cache=cache)
