@@ -12,7 +12,8 @@ endpoint DOFs that all boundary terms touch are rows/columns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,10 @@ class Mesh:
     a: float
     n_elements: int
     quadrature_points: int = DEFAULT_QUADRATURE_POINTS
-    nodes: np.ndarray = field(repr=False, default=None)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(-self.a, 0.0, self.n_elements + 1)
 
     @property
     def h(self) -> float:
@@ -65,9 +69,7 @@ def build_mesh(a: float, n_elements: int,
         raise ConfigError("mesh.n_elements must be at least 2")
     if quadrature_points < 4:
         raise ConfigError("mesh.quadrature_points must be at least 4")
-    nodes = np.linspace(-a, 0.0, n_elements + 1)
-    return Mesh(a=a, n_elements=n_elements,
-                quadrature_points=quadrature_points, nodes=nodes)
+    return Mesh(a=a, n_elements=n_elements, quadrature_points=quadrature_points)
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,6 @@ def _quad_rule(mesh: Mesh):
     return 0.5 * (t + 1.0), 0.5 * w * mesh.h
 
 
-def element_quad_points(mesh: Mesh) -> np.ndarray:
-    """Physical quadrature points, shape (n_elements, n_quad)."""
-    xi, _ = _quad_rule(mesh)
-    return mesh.nodes[:-1, None] + mesh.h * xi[None, :]
-
-
 def quadrature(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Physical quadrature points and weights, each shape (n_elements, n_quad)."""
     xi, wq = _quad_rule(mesh)
@@ -140,6 +136,20 @@ def quadrature(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 def _element_dofs(mesh: Mesh) -> np.ndarray:
     e = np.arange(mesh.n_elements)
     return np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3], axis=1)
+
+
+def quadrature_basis(mesh: Mesh) -> np.ndarray:
+    """Basis values and first two derivatives at the quadrature points.
+
+    Shape (3, n_points, dof_count): [derivative order, point, DOF], with
+    the points ordered as ``quadrature(mesh)[0].ravel()``.
+    """
+    xi, _ = _quad_rule(mesh)
+    shapes = hermite_shapes(xi, mesh.h)[:3].transpose(0, 2, 1)
+    rows = np.arange(mesh.n_elements * xi.size).reshape(mesh.n_elements, -1)
+    basis = np.zeros((3, rows.size, mesh.dof_count))
+    basis[:, rows[:, :, None], _element_dofs(mesh)[:, None, :]] = shapes[:, None]
+    return basis
 
 
 def _scatter(mesh: Mesh, local: np.ndarray) -> np.ndarray:
@@ -185,13 +195,13 @@ def assemble_weighted_gradient_form(mesh: Mesh, profile: DensityProfile,
     """Matrix of integral rho0 (k^2 v w + v' w'); positive definite."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
-    rho = profile.rho0(element_quad_points(mesh))
+    rho = profile.rho0(quadrature(mesh)[0])
     return SymForm(_interior_form(mesh, {0: k**2 * rho, 1: rho}), "WGRAD")
 
 
 def assemble_weighted_mass(mesh: Mesh, profile: DensityProfile) -> SymForm:
     """Matrix of integral drho0 v w; positive semidefinite."""
-    drho = profile.drho0(element_quad_points(mesh))
+    drho = profile.drho0(quadrature(mesh)[0])
     return SymForm(_interior_form(mesh, {0: drho}), "WMASS")
 
 

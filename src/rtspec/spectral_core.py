@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,6 +33,8 @@ from .discretization import (
     assemble_weighted_gradient_form,
     assemble_weighted_mass,
     boundary_quotient_form,
+    quadrature,
+    quadrature_basis,
 )
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import CoercivityError
@@ -76,22 +79,29 @@ class SpectrumResult:
 
 
 class FormCache:
-    """Per-(mesh, profile) cache of the k-dependent interior forms.
+    """Per-(mesh, profile) cache of the interior forms and quadrature table.
 
     Boundary forms are rate-dependent and cheap, so only H2 / WGRAD /
-    WMASS are cached.  Immutable inputs make this safe to share.
+    WMASS are cached, plus the ``layer`` table that interior integrals of
+    element functions read.  Immutable inputs make this safe to share.
     """
 
     def __init__(self, mesh: Mesh, profile: DensityProfile):
         self.mesh = mesh
         self.profile = profile
         self._by_k: dict[float, tuple[SymForm, SymForm]] = {}
-        self._wmass: SymForm | None = None
 
+    @cached_property
     def wmass(self) -> SymForm:
-        if self._wmass is None:
-            self._wmass = assemble_weighted_mass(self.mesh, self.profile)
-        return self._wmass
+        return assemble_weighted_mass(self.mesh, self.profile)
+
+    @cached_property
+    def layer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(weights, quadrature_basis, rho0, drho0) at the raveled points."""
+        pts, wts = quadrature(self.mesh)
+        x = pts.ravel()
+        return (wts.ravel(), quadrature_basis(self.mesh), self.profile.rho0(x),
+                self.profile.drho0(x))
 
     def interior(self, k: float) -> tuple[SymForm, SymForm]:
         if k not in self._by_k:
@@ -120,7 +130,7 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         raise CoercivityError(
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"
         ) from exc
-    return PencilAssembly(K=SymForm(kmat, "B"), Mw=cache.wmass(), lam=lam, k=k,
+    return PencilAssembly(K=SymForm(kmat, "B"), Mw=cache.wmass, lam=lam, k=k,
                           h=mesh.h)
 
 

@@ -1,9 +1,9 @@
 """Numerical verification of the identities the solver is built on.
 
 Each check returns a CheckReport with a scalar residual and a tolerance;
-pass means residual <= tolerance.  Interior integrals use the element
-quadrature; tail integrals below the layer use closed forms for the
-exponential branches, so every check covers the whole half line.
+pass means residual <= tolerance.  Interior integrals use the cached
+element quadrature table; tail integrals below the layer use closed
+forms for the exponential branches, so every check covers the half line.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import HermiteFunction, Mesh, build_mesh, quadrature
+from .discretization import Mesh, build_mesh
 from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError
 from .growth_solver import (
@@ -94,10 +94,6 @@ class TrialFunction:
         return cls(mesh=mode.mesh, coeffs=mode.coeffs, A1=mode.A1,
                    A2=mode.A2, tau=mode.tau_minus)
 
-    @property
-    def interior(self) -> HermiteFunction:
-        return HermiteFunction(self.mesh, self.coeffs)
-
 
 def random_trial(mesh: Mesh, k: float, rng: np.random.Generator) -> TrialFunction:
     """Sum of 5 Gaussian bumps interpolated onto the C1 element space.
@@ -124,13 +120,11 @@ def random_trial(mesh: Mesh, k: float, rng: np.random.Generator) -> TrialFunctio
                          tau=2.0 * k)
 
 
-def _layer_integrals(trial: TrialFunction, profile: DensityProfile, k: float):
-    """Interior quadrature pieces shared by the energy and bound checks."""
-    pts, wts = quadrature(trial.mesh)
-    x, w = pts.ravel(), wts.ravel()
-    f = trial.interior
-    v, dv, ddv = f(x), f(x, 1), f(x, 2)
-    rho, drho = profile.rho0(x), profile.drho0(x)
+def _layer_integrals(trial: TrialFunction, cache: FormCache, k: float):
+    """Layer integrals of rho0 (k^2 v^2 + v'^2), (v'' + k^2 v)^2 + 4 k^2 v'^2
+    and drho0 v^2 from the quadrature table of ``cache`` (the trial's mesh)."""
+    w, basis, rho, drho = cache.layer
+    v, dv, ddv = basis @ trial.coeffs
     weighted_grad = float(w @ (rho * (k * k * v * v + dv * dv)))
     stress = float(w @ ((ddv + k * k * v) ** 2 + 4.0 * k * k * dv * dv))
     strat_mass = float(w @ (drho * v * v))
@@ -147,7 +141,7 @@ def energy_identity_residual(mode: NormalMode) -> CheckReport:
     profile, params = mode.profile, mode.params
     k, lam = mode.k, mode.lambda_n
     weighted_grad, stress, strat_mass = _layer_integrals(
-        TrialFunction.from_mode(mode), profile, k)
+        TrialFunction.from_mode(mode), FormCache(mode.mesh, profile), k)
     mass_out, grad_out, stress_out = tail_integrals(
         mode.A1, mode.A2, k, mode.tau_minus, k)
     rho_m = profile.rho_minus
@@ -167,24 +161,22 @@ def energy_identity_residual(mode: NormalMode) -> CheckReport:
 def check_variational_inequality(Lambda: float, trial: TrialFunction, k: float,
                                  profile: DensityProfile,
                                  params: PhysicalParams,
-                                 slack: float = INEQUALITY_SLACK) -> CheckReport:
+                                 slack: float = INEQUALITY_SLACK,
+                                 cache: FormCache | None = None) -> CheckReport:
     """Maximal-growth bound: stratification energy vs rate-weighted norms.
 
     Signed residual (lhs - rhs) / rhs must stay below the slack; equality
-    is approached by the extremal mode at the lattice argmax.
+    is approached by the extremal mode at the lattice argmax.  The layer
+    norms are ``_layer_integrals`` divided by k^2.
     """
-    pts, wts = quadrature(trial.mesh)
-    x, w = pts.ravel(), wts.ravel()
-    f = trial.interior
-    v, dv, ddv = f(x), f(x, 1), f(x, 2)
-    rho = profile.rho0(x)
-    strat_mass = float(w @ (profile.drho0(x) * v * v))
-    weighted = float(w @ (rho * (v * v + dv * dv / k**2)))
-    stress = float(w @ ((ddv / k + k * v) ** 2 + 4.0 * dv * dv))
+    if cache is None:
+        cache = FormCache(trial.mesh, profile)
+    weighted_grad, stress, strat_mass = _layer_integrals(trial, cache, k)
     mass_out, grad_out, stress_out = tail_integrals(trial.A1, trial.A2, k,
                                                     trial.tau, k)
-    weighted += profile.rho_minus * (mass_out + grad_out / k**2)
-    stress += stress_out / k**2 + 4.0 * grad_out
+    weighted = weighted_grad / k**2 + profile.rho_minus * (mass_out
+                                                           + grad_out / k**2)
+    stress = stress / k**2 + stress_out / k**2 + 4.0 * grad_out
     phi0 = trial.coeffs[-2]
     lhs = params.g * strat_mass
     rhs = (params.g * profile.rho_plus * phi0**2
@@ -294,6 +286,7 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
                                      0.0, INEQUALITY_SLACK, trials=0)]
         return [CheckReport.make("inequality (growth solves not converged)",
                                  math.inf, INEQUALITY_SLACK, trials=0)]
+    cache = FormCache(mesh, profile)
     rng = np.random.default_rng(seed)
     ks = lattice_magnitudes(params.L1, params.L2, Kmax)[:n_wavenumbers]
     reports = []
@@ -302,7 +295,7 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
         for _ in range(n_trials):
             trial = random_trial(mesh, float(k), rng)
             rep = check_variational_inequality(result.Lambda, trial, float(k),
-                                               profile, params)
+                                               profile, params, cache=cache)
             worst = max(worst, rep.residual)
         reports.append(CheckReport.make(f"inequality k={k:g}", worst,
                                         INEQUALITY_SLACK, trials=n_trials,
@@ -311,7 +304,8 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
     mode = build_normal_mode(mesh, profile, params, (result.argmax_k, 0.0), 1)
     rep = check_variational_inequality(result.Lambda,
                                        TrialFunction.from_mode(mode),
-                                       result.argmax_k, profile, params)
+                                       result.argmax_k, profile, params,
+                                       cache=cache)
     gap = -rep.residual
     reports.append(CheckReport.make("inequality-tightness", gap,
                                     TIGHTNESS_GAP, k=result.argmax_k,

@@ -1,5 +1,7 @@
 import ctypes
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +248,23 @@ def test_verify_command_appendix(tmp_path, capsys):
     text = out.read_text()
     assert "appendix-d ka=0.5" in text
     assert "pass" in text
+
+
+def test_verify_rerun_is_byte_identical(tmp_path):
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(["verify", "--suite", "inequality", "--out", str(first)]) == 0
+    assert main(["verify", "--suite", "inequality", "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(rt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, rtspec.cli; print(sorted(m for m in "
+             "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_tampered_tolerance_fails_controlled(tmp_path, capsys):

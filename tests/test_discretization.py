@@ -12,6 +12,7 @@ from rtspec.discretization import (
     assemble_weighted_mass,
     boundary_quotient_form,
     quadrature,
+    quadrature_basis,
     tau_decay,
 )
 from rtspec.errors import ConfigError
@@ -35,6 +36,13 @@ def test_build_mesh_geometry():
     assert np.allclose(mesh.nodes, [-1.0, -0.75, -0.5, -0.25, 0.0])
     assert mesh.dof_count == 10
     assert rt.build_mesh(2.0, 2).h == 1.0
+
+
+def test_mesh_nodes_derive_from_depth():
+    assert np.array_equal(rt.Mesh(a=1.0, n_elements=4).nodes,
+                          np.linspace(-1.0, 0.0, 5))
+    assert np.array_equal(rt.build_mesh(0.7, 64).nodes,
+                          np.linspace(-0.7, 0.0, 65))
 
 
 def test_build_mesh_validation():
@@ -228,3 +236,17 @@ def test_quadrature_weights_integrate_exactly(mesh64):
     pts, wts = quadrature(mesh64)
     assert wts.sum() == pytest.approx(mesh64.a, rel=1e-14)
     assert (wts * pts).sum() == pytest.approx(-mesh64.a**2 / 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("n_elements", [64, 128])
+def test_quadrature_basis_matches_hermite_evaluation(n_elements):
+    mesh = rt.build_mesh(1.0, n_elements)
+    x = quadrature(mesh)[0].ravel()
+    basis = quadrature_basis(mesh)
+    assert basis.shape == (3, x.size, mesh.dof_count)
+    c = np.random.default_rng(n_elements).standard_normal(mesh.dof_count)
+    f = rt.HermiteFunction(mesh, c)
+    for m in range(3):
+        expected = f(x, m)
+        assert np.abs(basis[m] @ c - expected).max() <= (
+            1e-13 * np.abs(expected).max())

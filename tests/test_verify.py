@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rtspec as rt
+from rtspec.discretization import quadrature
 from rtspec.errors import ConfigError
 from rtspec.verify import (
     CheckReport,
@@ -128,6 +129,47 @@ def test_inequality_tight_at_argmax(profile, params, mesh64, lattice_max):
                                           lattice_max.argmax_k, profile, params)
     assert rep.passed
     assert -rep.residual <= 1e-4  # the two sides nearly coincide
+
+
+def _pointwise_inequality_residual(Lambda, trial, k, profile, params):
+    """The bound's residual with the layer norms evaluated point by point."""
+    pts, wts = quadrature(trial.mesh)
+    x, w = pts.ravel(), wts.ravel()
+    f = rt.HermiteFunction(trial.mesh, trial.coeffs)
+    v, dv, ddv = f(x), f(x, 1), f(x, 2)
+    strat_mass = float(w @ (profile.drho0(x) * v * v))
+    weighted = float(w @ (profile.rho0(x) * (v * v + dv * dv / k**2)))
+    stress = float(w @ ((ddv / k + k * v) ** 2 + 4.0 * dv * dv))
+    mass_out, grad_out, stress_out = tail_integrals(trial.A1, trial.A2, k,
+                                                    trial.tau, k)
+    weighted += profile.rho_minus * (mass_out + grad_out / k**2)
+    stress += stress_out / k**2 + 4.0 * grad_out
+    lhs = params.g * strat_mass
+    rhs = (params.g * profile.rho_plus * trial.coeffs[-2] ** 2
+           + Lambda**2 * weighted + Lambda * params.mu * stress)
+    return (lhs - rhs) / abs(rhs)
+
+
+def test_inequality_cache_matches_pointwise_formula(profile, params, mesh64,
+                                                    lattice_max):
+    Lambda, k_star = lattice_max.Lambda, lattice_max.argmax_k
+    cache = rt.FormCache(mesh64, profile)
+    rng = np.random.default_rng(7)
+    cases = [(rt.random_trial(mesh64, 1.0, rng), 1.0) for _ in range(20)]
+    mode = rt.build_normal_mode(mesh64, profile, params, (k_star, 0.0), 1)
+    cases.append((TrialFunction.from_mode(mode), k_star))
+    for trial, k in cases:
+        shared = rt.check_variational_inequality(Lambda, trial, k, profile,
+                                                 params, cache=cache)
+        fresh = rt.check_variational_inequality(Lambda, trial, k, profile,
+                                                params)
+        assert shared.residual == fresh.residual
+        # the residual is relative to the bound's right-hand side, so this
+        # compares both sides to 1e-12 of their scale
+        expected = _pointwise_inequality_residual(Lambda, trial, k, profile,
+                                                  params)
+        assert abs(shared.residual - expected) <= 1e-12 * max(1.0,
+                                                               abs(expected))
 
 
 def test_appendix_d_suite_passes():
