@@ -83,6 +83,12 @@ class LambdaMaxResult:
     def any_unstable(self) -> bool:
         return any(r.converged for r in self.records)
 
+    @property
+    def argmax_record(self) -> GrowthRecord | None:
+        """The converged record whose rate is Lambda, or None."""
+        return next((r for r in self.records
+                     if r.converged and r.k == self.argmax_k), None)
+
 
 def _no_branch(k: float, n: int) -> GrowthRecord:
     return GrowthRecord(k=k, n=n, lambda_n=math.nan, residual=math.nan,
@@ -91,7 +97,9 @@ def _no_branch(k: float, n: int) -> GrowthRecord:
 
 def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                    k: float, n: int, settings: SolverSettings = SolverSettings(),
-                   cache: FormCache | None = None) -> GrowthRecord:
+                   cache: FormCache | None = None, *,
+                   ends: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> GrowthRecord:
     """Solve for the n-th growth rate at wavenumber k with Brent's method.
 
     The root of f starts bracketed by [BRACKET_FLOOR * cap, cap]; the
@@ -99,6 +107,10 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     its upper end, or for at most ``settings.max_iter`` steps (one
     evaluation each).  The bracket end with the smaller |f| is returned;
     ``iterations`` counts the steps after the two end evaluations.
+
+    ``ends`` holds ``gamma_values`` at the two bracket ends, for at least n
+    branches; a sweep passes them to solve each end once per wavenumber.
+    Without it the ends are solved here.
 
     Returns a non-converged record with reason ``no-unstable-branch`` when
     the branch is absent (degenerate stratification, or n beyond the
@@ -115,19 +127,21 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         return _no_branch(k, n)
     gk2 = params.g * k * k
 
-    def f(lam: float) -> float | None:
-        gammas = gamma_values(
-            assemble_B(mesh, profile, params, k, lam, cache=cache), n)
+    def f(lam: float, gammas: np.ndarray | None = None) -> float | None:
+        if gammas is None:
+            gammas = gamma_values(
+                assemble_B(mesh, profile, params, k, lam, cache=cache), n)
         if gammas.size < n:
             return None
         return gk2 * gammas[n - 1] - lam
 
+    gammas_lo, gammas_hi = (None, None) if ends is None else ends
     lo = BRACKET_FLOOR * cap
-    f_lo = f(lo)
+    f_lo = f(lo, gammas_lo)
     if f_lo is None or f_lo <= 0.0:
         return _no_branch(k, n)
     hi = cap
-    f_hi = f(hi)
+    f_hi = f(hi, gammas_hi)
     if f_hi is None:
         return _no_branch(k, n)
     if f_hi >= 0.0:
@@ -199,17 +213,25 @@ def dispersion(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
 
     Missing branches appear as non-converged records, not failures.  Once
     branch n is absent at some k, higher branches there are absent too.
+    One form cache serves the whole sweep, and the pencils at the two
+    bracket ends are solved once per k for all n_max branches.
     """
+    _, cap = char_length(profile, params.g)
+    cache = FormCache(mesh, profile)
     records: list[GrowthRecord] = []
     for k in k_values:
-        cache = FormCache(mesh, profile)
+        k = float(k)
+        ends = None if cap == 0.0 else tuple(
+            gamma_values(assemble_B(mesh, profile, params, k, lam, cache=cache),
+                         n_max)
+            for lam in (BRACKET_FLOOR * cap, cap))
         absent = False
         for n in range(1, n_max + 1):
             if absent:
-                records.append(_no_branch(float(k), n))
+                records.append(_no_branch(k, n))
                 continue
-            rec = solve_lambda_n(mesh, profile, params, float(k), n,
-                                 settings, cache=cache)
+            rec = solve_lambda_n(mesh, profile, params, k, n, settings,
+                                 cache=cache, ends=ends)
             if rec.reason == NO_UNSTABLE_BRANCH:
                 absent = True
             records.append(rec)

@@ -43,6 +43,10 @@ from .errors import CoercivityError
 # the rank-deficient zero block of WMASS.
 DROP_THRESHOLD = 1e-12
 
+# Half-bandwidth of K: cubic Hermite elements couple the four value and
+# slope DOFs of two adjacent nodes, and the endpoint forms stay in that band.
+KMAT_BANDWIDTH = 3
+
 
 @dataclass(frozen=True)
 class PencilAssembly:
@@ -83,7 +87,9 @@ class FormCache:
 
     Boundary forms are rate-dependent and cheap, so only H2 / WGRAD /
     WMASS are cached, plus the ``layer`` table that interior integrals of
-    element functions read.  Immutable inputs make this safe to share.
+    element functions read.  H2 and WGRAD are kept for the last k asked
+    for only, so a sweep's cache does not grow with its k values.
+    Immutable inputs make this safe to share.
     """
 
     def __init__(self, mesh: Mesh, profile: DensityProfile):
@@ -105,8 +111,8 @@ class FormCache:
 
     def interior(self, k: float) -> tuple[SymForm, SymForm]:
         if k not in self._by_k:
-            self._by_k[k] = (assemble_h2_form(self.mesh, k),
-                             assemble_weighted_gradient_form(self.mesh, self.profile, k))
+            self._by_k = {k: (assemble_h2_form(self.mesh, k),
+                              assemble_weighted_gradient_form(self.mesh, self.profile, k))}
         return self._by_k[k]
 
 
@@ -115,17 +121,22 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     """Assemble the SPD operator K and mass Mw; Cholesky-checks K.
 
     K is exactly symmetric: the interior forms are symmetrized on scatter
-    and the boundary forms are symmetric by construction.  The Cholesky is
-    the only definiteness check of the full K: ``eigh`` factors the
-    moment-constrained K, and ``coercivity_ratio`` factors H2.
+    and the boundary forms are symmetric by construction.  The banded
+    Cholesky of K's lower band is the only definiteness check of the full
+    K: ``eigh`` factors the moment-constrained K, and ``coercivity_ratio``
+    factors H2.
     """
     if cache is None:
         cache = FormCache(mesh, profile)
     h2, wgrad = cache.interior(k)
     bv0, bva = assemble_boundary_forms(mesh, k, lam, params, profile)
     kmat = lam * wgrad.matrix + params.mu * h2.matrix + bv0.matrix + bva.matrix
+    band = np.zeros((KMAT_BANDWIDTH + 1, kmat.shape[0]))
+    for d in range(KMAT_BANDWIDTH + 1):
+        band[d, :band.shape[1] - d] = np.diagonal(kmat, -d)
     try:
-        np.linalg.cholesky(kmat)
+        sla.cholesky_banded(band, overwrite_ab=True, lower=True,
+                            check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise CoercivityError(
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"

@@ -301,7 +301,8 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
                                         INEQUALITY_SLACK, trials=n_trials,
                                         seed=seed, Lambda=result.Lambda))
     # tightness at the argmax: the extremal mode nearly saturates the bound
-    mode = build_normal_mode(mesh, profile, params, (result.argmax_k, 0.0), 1)
+    mode = build_normal_mode(mesh, profile, params, (result.argmax_k, 0.0), 1,
+                             settings, record=result.argmax_record)
     rep = check_variational_inequality(result.Lambda,
                                        TrialFunction.from_mode(mode),
                                        result.argmax_k, profile, params,
@@ -335,7 +336,7 @@ def convergence_suite(profile: DensityProfile, params: PhysicalParams,
                       settings: SolverSettings = SolverSettings()) -> list[CheckReport]:
     """Self-convergence of the leading rate and decrease of the energy defect."""
     reports = []
-    lams = {}
+    solved = {}
     for n_el in (32, 64, 128):
         mesh = build_mesh(profile.a, n_el)
         rec = solve_lambda_n(mesh, profile, params, k, 1, settings)
@@ -346,17 +347,18 @@ def convergence_suite(profile: DensityProfile, params: PhysicalParams,
             return [CheckReport.make(
                 f"convergence (solve not converged: {rec.reason})",
                 math.inf, 1e-6)]
-        lams[n_el] = rec.lambda_n
-    rel = abs(lams[64] - lams[128]) / lams[128]
+        solved[n_el] = mesh, rec
+    lam64, lam128 = solved[64][1].lambda_n, solved[128][1].lambda_n
+    rel = abs(lam64 - lam128) / lam128
     reports.append(CheckReport.make("convergence lambda1 64-vs-128", rel, 1e-6,
                                     k=k))
     # A discrete mode satisfies its own weak energy balance identically, so
     # the defect sits at eigensolver-noise level at every resolution and
     # monotone decrease is unobservable; assert the noise floor instead.
     residuals = {}
-    for n_el in (32, 64, 128):
-        mesh = build_mesh(profile.a, n_el)
-        mode = build_normal_mode(mesh, profile, params, (k, 0.0), 1, settings)
+    for n_el, (mesh, rec) in solved.items():
+        mode = build_normal_mode(mesh, profile, params, (k, 0.0), 1, settings,
+                                 record=rec)
         residuals[n_el] = energy_identity_residual(mode).residual
     reports.append(CheckReport.make("convergence energy-defect floor",
                                     max(residuals.values()), 1e-8,

@@ -126,3 +126,59 @@ def test_constructor_validation():
         rt.PhysicalParams(mu=0.0, g=1.0)
     with pytest.raises(ConfigError):
         rt.PhysicalParams(mu=1.0, g=-2.0)
+
+
+def _ratio(profile, x):
+    return profile.drho0(x) / profile.rho0(x)
+
+
+def _independent_peak(profile):
+    """Dense grid, then golden-section polish of the best cell pair."""
+    x = np.linspace(-profile.a, 0.0, 20_001)
+    r = _ratio(profile, x)
+    i = int(np.argmax(r))
+    h = x[1] - x[0]
+    lo, hi = x[i] - h, min(x[i] + h, 0.0)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = float(_ratio(profile, c)), float(_ratio(profile, d))
+    best = max(float(r[i]), fc, fd)
+    for _ in range(80):
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = float(_ratio(profile, c))
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = float(_ratio(profile, d))
+        best = max(best, fc, fd)
+    return best
+
+
+@pytest.mark.parametrize("kind", ["bump", "quintic"])
+@pytest.mark.parametrize("rho_plus", [1.5, 2.0, 3.0])
+def test_peak_ratio_is_exact_to_rounding(kind, rho_plus):
+    p = rt.DensityProfile(1.0, rho_plus, 1.0, kind)
+    peak = p._peak_ratio
+    assert peak == pytest.approx(_independent_peak(p), rel=1e-13)
+    # a fixed 100,000-point grid only undershoots the maximum
+    grid = np.linspace(-p.a, 0.0, 100_000)
+    grid_max = max(_ratio(p, part).max() for part in np.array_split(grid, 10))
+    assert peak >= grid_max
+
+
+@pytest.mark.parametrize("kind", ["bump", "quintic"])
+def test_peak_search_evaluates_few_points(kind, monkeypatch):
+    points = []
+    for name in ("rho0", "drho0"):
+        original = getattr(rt.DensityProfile, name)
+
+        def counted(self, x3, _original=original, _name=name):
+            points.append((_name, np.size(x3)))
+            return _original(self, x3)
+
+        monkeypatch.setattr(rt.DensityProfile, name, counted)
+    rt.char_length(rt.DensityProfile(1.0, 2.0, 1.0, kind), 1.0)
+    for name in ("rho0", "drho0"):
+        assert 0 < sum(n for f, n in points if f == name) <= 2000

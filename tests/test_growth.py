@@ -252,3 +252,44 @@ def test_solver_settings_validation():
         rt.SolverSettings(max_iter=1)
     with pytest.raises(ConfigError):
         rt.SolverSettings(n_max=0)
+
+
+def test_dispersion_matches_single_solves(profile, params, mesh64):
+    k_values = np.geomspace(0.25, 4.0, 5)
+    records = rt.dispersion(mesh64, profile, params, k_values, 4)
+    assert len(records) == 20
+    for rec in records:
+        single = rt.solve_lambda_n(mesh64, profile, params, rec.k, rec.n)
+        assert rec.converged == single.converged
+        assert abs(rec.lambda_n - single.lambda_n) <= 1e-12 * single.lambda_n
+
+
+def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
+                                                   monkeypatch):
+    calls = []
+
+    def counted(pencil, n_max):
+        calls.append(n_max)
+        return gamma_values(pencil, n_max)
+
+    monkeypatch.setattr(growth_solver, "gamma_values", counted)
+    k_values = np.geomspace(0.25, 4.0, 5)
+    records = rt.dispersion(mesh64, profile, params, k_values, 4)
+    assert all(rec.converged for rec in records)
+    assert len(calls) == 2 * len(k_values) + sum(r.iterations for r in records)
+
+
+def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch):
+    caches = []
+
+    class RecordedCache(rt.FormCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(growth_solver, "FormCache", RecordedCache)
+    mesh = rt.build_mesh(1.0, 16)
+    k_values = np.geomspace(0.25, 4.0, 50)
+    rt.dispersion(mesh, profile, params, k_values, 1)
+    assert len(caches) == 1
+    assert list(caches[0]._by_k) == [k_values[-1]]

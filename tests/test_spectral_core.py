@@ -181,3 +181,32 @@ def test_coercivity_ratio_ignores_gradient_shape(profile, params, mesh64):
 
 def test_drop_threshold_is_tiny():
     assert DROP_THRESHOLD <= 1e-12
+
+
+class IndefiniteH2Cache(rt.FormCache):
+    """Form cache whose H2 is replaced by a symmetric indefinite matrix."""
+
+    def __init__(self, mesh, profile, variant):
+        super().__init__(mesh, profile)
+        self.variant = variant
+
+    def interior(self, k):
+        h2, wgrad = super().interior(k)
+        bad = -h2.matrix
+        if self.variant == "outer-band":
+            # positive diagonal, but a 2x2 principal minor on the outermost
+            # band diagonal is negative
+            bad = h2.matrix.copy()
+            i = bad.shape[0] // 2
+            bad[i, i + 3] = bad[i + 3, i] = 10.0 * np.abs(bad).max()
+        return rt.SymForm(bad, "H2"), wgrad
+
+
+@pytest.mark.parametrize("n_elements", [64, 128])
+@pytest.mark.parametrize("variant", ["negated", "outer-band"])
+def test_assemble_B_rejects_indefinite_operator(profile, params, n_elements,
+                                                variant):
+    mesh = rt.build_mesh(profile.a, n_elements)
+    cache = IndefiniteH2Cache(mesh, profile, variant)
+    with pytest.raises(CoercivityError):
+        rt.assemble_B(mesh, profile, params, 1.0, 0.5, cache=cache)

@@ -194,3 +194,36 @@ def test_monotone_suite_shape(profile, params):
 def test_run_suite_validation(profile, params):
     with pytest.raises(ConfigError):
         run_suite("bogus", profile, params)
+
+
+def test_suites_reuse_solved_records(profile, params, monkeypatch):
+    # the tightness mode is built from lambda_max's own argmax record, so a
+    # non-default tolerance gives it exactly the rate Lambda
+    import rtspec.modes
+    import rtspec.verify
+
+    modes, rebuilt = [], []
+    build = rtspec.verify.build_normal_mode
+
+    def recorded_build(*args, **kwargs):
+        mode = build(*args, **kwargs)
+        modes.append(mode)
+        return mode
+
+    def counted_solve(*args, **kwargs):
+        rebuilt.append(args)
+        return rt.solve_lambda_n(*args, **kwargs)
+
+    monkeypatch.setattr(rtspec.verify, "build_normal_mode", recorded_build)
+    monkeypatch.setattr(rtspec.modes, "solve_lambda_n", counted_solve)
+    loose = rt.SolverSettings(tol_rel=1e-6)
+    mesh = rt.build_mesh(profile.a, 32)
+    result = rt.lambda_max(mesh, profile, params, 2.0, loose)
+    reports = rtspec.verify.inequality_suite(profile, params, n_trials=2,
+                                             n_wavenumbers=1, Kmax=2.0,
+                                             n_elements=32, settings=loose)
+    assert reports[-1].name == "inequality-tightness"
+    assert modes[-1].lambda_n == result.Lambda
+    convergence_suite(profile, params, settings=loose)
+    assert len(modes) == 4
+    assert rebuilt == []
