@@ -81,12 +81,17 @@ def tail_integrals(c1: float, c2: float, alpha: float, beta: float,
 
 @dataclass(frozen=True, eq=False)
 class TrialFunction:
-    """H2 trial on the layer with a C1 exponential tail below it."""
+    """H2 trial on the layer with a C1 exponential tail below it.
+
+    ``coeffs`` is one DOF vector, or a (dof, m) matrix whose columns are a
+    block of m trials on one mesh with one ``tau``; ``A1`` and ``A2`` are
+    then scalars or length-m vectors.
+    """
 
     mesh: Mesh
     coeffs: np.ndarray
-    A1: float
-    A2: float
+    A1: float | np.ndarray
+    A2: float | np.ndarray
     tau: float
 
     @classmethod
@@ -95,24 +100,30 @@ class TrialFunction:
                    A2=mode.A2, tau=mode.tau_minus)
 
 
-def random_trial(mesh: Mesh, k: float, rng: np.random.Generator) -> TrialFunction:
-    """Sum of 5 Gaussian bumps interpolated onto the C1 element space.
+# Trials checked per matrix product.  Blocks of 32 run as fast as larger
+# ones; larger blocks leave more of the heap fragmented, which makes
+# verify's later 128-element solves peak about 2 MB higher more often.
+_TRIAL_BLOCK = 32
 
-    The left slope DOF is overwritten by k * value so the single
-    decaying tail A1 e^{k(x+a)} attaches with C1 continuity.
-    """
+
+def _random_trials(mesh: Mesh, k: float, rng: np.random.Generator,
+                   count: int) -> TrialFunction:
+    """A block of ``count`` random trials, column j drawn as the j-th
+    ``random_trial`` call on ``rng`` would draw it."""
     a = mesh.a
-    amps = rng.uniform(0.2, 1.0, 5) * rng.choice([-1.0, 1.0], 5)
-    centers = rng.uniform(-a, 0.0, 5)
-    widths = rng.uniform(a / 20.0, a / 4.0, 5)
-    x = mesh.nodes
-    vals = np.zeros_like(x)
-    slopes = np.zeros_like(x)
+    amps, centers, widths = np.empty((3, 5, count))
+    for j in range(count):
+        amps[:, j] = rng.uniform(0.2, 1.0, 5) * rng.choice([-1.0, 1.0], 5)
+        centers[:, j] = rng.uniform(-a, 0.0, 5)
+        widths[:, j] = rng.uniform(a / 20.0, a / 4.0, 5)
+    x = mesh.nodes[:, None]
+    vals = np.zeros((x.size, count))
+    slopes = np.zeros((x.size, count))
     for amp, c, w in zip(amps, centers, widths):
         e = amp * np.exp(-((x - c) ** 2) / (2.0 * w * w))
         vals += e
         slopes += e * (c - x) / (w * w)
-    coeffs = np.empty(mesh.dof_count)
+    coeffs = np.empty((mesh.dof_count, count))
     coeffs[0::2] = vals
     coeffs[1::2] = slopes
     coeffs[1] = k * coeffs[0]
@@ -120,14 +131,26 @@ def random_trial(mesh: Mesh, k: float, rng: np.random.Generator) -> TrialFunctio
                          tau=2.0 * k)
 
 
+def random_trial(mesh: Mesh, k: float, rng: np.random.Generator) -> TrialFunction:
+    """Sum of 5 Gaussian bumps interpolated onto the C1 element space.
+
+    The left slope DOF is overwritten by k * value so the single
+    decaying tail A1 e^{k(x+a)} attaches with C1 continuity.
+    """
+    coeffs = _random_trials(mesh, k, rng, 1).coeffs[:, 0]
+    return TrialFunction(mesh=mesh, coeffs=coeffs, A1=coeffs[0], A2=0.0,
+                         tau=2.0 * k)
+
+
 def _layer_integrals(trial: TrialFunction, cache: FormCache, k: float):
     """Layer integrals of rho0 (k^2 v^2 + v'^2), (v'' + k^2 v)^2 + 4 k^2 v'^2
-    and drho0 v^2 from the quadrature table of ``cache`` (the trial's mesh)."""
+    and drho0 v^2 from the quadrature table of ``cache`` (the trial's mesh),
+    one value per trial of a block."""
     w, basis, rho, drho = cache.layer
     v, dv, ddv = basis @ trial.coeffs
-    weighted_grad = float(w @ (rho * (k * k * v * v + dv * dv)))
-    stress = float(w @ ((ddv + k * k * v) ** 2 + 4.0 * k * k * dv * dv))
-    strat_mass = float(w @ (drho * v * v))
+    weighted_grad = (w * rho) @ (k * k * v * v + dv * dv)
+    stress = w @ ((ddv + k * k * v) ** 2 + 4.0 * k * k * dv * dv)
+    strat_mass = (w * drho) @ (v * v)
     return weighted_grad, stress, strat_mass
 
 
@@ -166,9 +189,19 @@ def check_variational_inequality(Lambda: float, trial: TrialFunction, k: float,
     """Maximal-growth bound: stratification energy vs rate-weighted norms.
 
     Signed residual (lhs - rhs) / rhs must stay below the slack; equality
-    is approached by the extremal mode at the lattice argmax.  The layer
-    norms are ``_layer_integrals`` divided by k^2.
+    is approached by the extremal mode at the lattice argmax.  A block of
+    trials reports its worst residual.
     """
+    residuals = _inequality_residuals(Lambda, trial, k, profile, params, cache)
+    return CheckReport.make("variational-inequality", np.max(residuals),
+                            slack, k=k, Lambda=Lambda)
+
+
+def _inequality_residuals(Lambda: float, trial: TrialFunction, k: float,
+                          profile: DensityProfile, params: PhysicalParams,
+                          cache: FormCache | None = None) -> np.ndarray:
+    """The bound's signed residual, one per trial of a block.  The layer
+    norms are ``_layer_integrals`` divided by k^2."""
     if cache is None:
         cache = FormCache(trial.mesh, profile)
     weighted_grad, stress, strat_mass = _layer_integrals(trial, cache, k)
@@ -181,25 +214,55 @@ def check_variational_inequality(Lambda: float, trial: TrialFunction, k: float,
     lhs = params.g * strat_mass
     rhs = (params.g * profile.rho_plus * phi0**2
            + Lambda**2 * weighted + Lambda * params.mu * stress)
-    residual = 0.0 if lhs == rhs == 0.0 else (lhs - rhs) / abs(rhs)
-    return CheckReport.make("variational-inequality", residual,
-                            slack, k=k, Lambda=Lambda)
+    # a zero trial has lhs = rhs = 0 and residual 0
+    return np.divide(lhs - rhs, np.abs(rhs), out=np.zeros(np.shape(rhs)),
+                     where=(lhs != 0.0) | (rhs != 0.0))
 
 
 def fixed_point_residual(mesh: Mesh, profile: DensityProfile,
-                         params: PhysicalParams,
-                         record: GrowthRecord) -> CheckReport:
+                         params: PhysicalParams, record: GrowthRecord,
+                         cache: FormCache | None = None) -> CheckReport:
     """Recompute the branch eigenvalue at the solved rate and check the root."""
     if not record.converged:
         return CheckReport.make("fixed-point", 0.0, FIXED_POINT_RTOL,
                                 vacuous=True, k=record.k, n=record.n)
-    cache = FormCache(mesh, profile)
     gammas = gamma_values(assemble_B(mesh, profile, params, record.k,
                                      record.lambda_n, cache=cache), record.n)
     gk2 = params.g * record.k**2
     res = abs(gk2 * gammas[record.n - 1] - record.lambda_n) / record.lambda_n
     return CheckReport.make("fixed-point", res, FIXED_POINT_RTOL,
                             k=record.k, n=record.n, lam=record.lambda_n)
+
+
+def _leading_gammas(mesh: Mesh, profile: DensityProfile,
+                    params: PhysicalParams, k: float, n: int,
+                    grid: np.ndarray) -> np.ndarray:
+    """gamma_1..gamma_n at each rate of ``grid``, one pencil per rate;
+    shape (grid.size, n)."""
+    cache = FormCache(mesh, profile)
+    gam = np.empty((grid.size, n))
+    for i, lam in enumerate(grid):
+        g = gamma_values(assemble_B(mesh, profile, params, k, float(lam),
+                                    cache=cache), n)
+        if g.size < n:
+            raise ValueError(f"branch n={n} absent at lam={lam}")
+        gam[i] = g
+    return gam
+
+
+def _monotone_report(grid: np.ndarray, gam: np.ndarray, k: float, n: int,
+                     quantity: str) -> CheckReport:
+    """The probe's report from branch n's gamma_n on ``grid``."""
+    if grid.size < 2:
+        return CheckReport.make(f"monotone-{quantity}", 0.0, 0.0,
+                                vacuous=True, k=k, n=n)
+    if quantity == "gamma":
+        residual = float(np.diff(gam).max())
+    else:
+        residual = float((-np.diff(grid / gam)).max())
+    return CheckReport.make(f"monotone-{quantity}", residual, 0.0,
+                            k=k, n=n, points=grid.size,
+                            lam_min=float(grid[0]), lam_max=float(grid[-1]))
 
 
 def monotonicity_probe(mesh: Mesh, profile: DensityProfile,
@@ -216,25 +279,8 @@ def monotonicity_probe(mesh: Mesh, profile: DensityProfile,
     grid = np.asarray(lambda_grid, dtype=float)
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("lambda grid must be strictly increasing")
-    cache = FormCache(mesh, profile)
-    gam = []
-    for lam in grid:
-        g = gamma_values(assemble_B(mesh, profile, params, k, float(lam),
-                                    cache=cache), n)
-        if g.size < n:
-            raise ValueError(f"branch n={n} absent at lam={lam}")
-        gam.append(g[n - 1])
-    gam = np.array(gam)
-    if grid.size < 2:
-        return CheckReport.make(f"monotone-{quantity}", 0.0, 0.0,
-                                vacuous=True, k=k, n=n)
-    if quantity == "gamma":
-        residual = float(np.diff(gam).max())
-    else:
-        residual = float((-np.diff(grid / gam)).max())
-    return CheckReport.make(f"monotone-{quantity}", residual, 0.0,
-                            k=k, n=n, points=grid.size,
-                            lam_min=float(grid[0]), lam_max=float(grid[-1]))
+    gam = _leading_gammas(mesh, profile, params, k, n, grid)[:, n - 1]
+    return _monotone_report(grid, gam, k, n, quantity)
 
 
 # -- suites ---------------------------------------------------------------------
@@ -275,8 +321,9 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
                      settings: SolverSettings = SolverSettings()) -> list[CheckReport]:
     """Randomized trials of the maximal-growth bound, plus its tightness.
 
-    Trial functions are seeded; the wavenumbers are the smallest lattice
-    magnitudes, where the bound is sharpest.
+    Trial functions are seeded and checked in blocks of ``_TRIAL_BLOCK``;
+    the wavenumbers are the smallest lattice magnitudes, where the bound is
+    sharpest.
     """
     mesh = build_mesh(profile.a, n_elements)
     result = lambda_max(mesh, profile, params, Kmax, settings)
@@ -292,9 +339,10 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
     reports = []
     for k in ks:
         worst = -math.inf
-        for _ in range(n_trials):
-            trial = random_trial(mesh, float(k), rng)
-            rep = check_variational_inequality(result.Lambda, trial, float(k),
+        for start in range(0, n_trials, _TRIAL_BLOCK):
+            block = _random_trials(mesh, float(k), rng,
+                                   min(_TRIAL_BLOCK, n_trials - start))
+            rep = check_variational_inequality(result.Lambda, block, float(k),
                                                profile, params, cache=cache)
             worst = max(worst, rep.residual)
         reports.append(CheckReport.make(f"inequality k={k:g}", worst,
@@ -322,13 +370,10 @@ def monotone_suite(profile: DensityProfile, params: PhysicalParams,
     if cap == 0.0:
         return [CheckReport.make("monotone (vacuous: stable profile)", 0.0, 0.0)]
     grid = np.geomspace(MONOTONE_GRID_FLOOR, cap, MONOTONE_GRID_POINTS)
-    reports = []
-    for n in range(1, n_branches + 1):
-        reports.append(monotonicity_probe(mesh, profile, params, k, n, grid,
-                                          "gamma"))
-        reports.append(monotonicity_probe(mesh, profile, params, k, n, grid,
-                                          "rate-ratio"))
-    return reports
+    gam = _leading_gammas(mesh, profile, params, k, n_branches, grid)
+    return [_monotone_report(grid, gam[:, n - 1], k, n, quantity)
+            for n in range(1, n_branches + 1)
+            for quantity in ("gamma", "rate-ratio")]
 
 
 def convergence_suite(profile: DensityProfile, params: PhysicalParams,

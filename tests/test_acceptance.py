@@ -18,7 +18,13 @@ import pytest
 import rtspec as rt
 from rtspec.discretization import quadrature
 from rtspec.growth_solver import NO_UNSTABLE_BRANCH
-from rtspec.verify import TrialFunction, random_trial
+from rtspec.verify import (
+    INEQUALITY_SLACK,
+    TrialFunction,
+    _TRIAL_BLOCK,
+    _inequality_residuals,
+    _random_trials,
+)
 
 from oracle_collocation import oracle_lambda
 
@@ -74,11 +80,12 @@ def test_c02_coercivity_bound(profile, params, mesh64, growth_cap):
 
 def test_c03_fixed_point_residuals(sweep, mesh64, profile, params):
     records, _ = sweep
+    cache = rt.FormCache(mesh64, profile)
     worst = 0.0
     for rec in records:
         if not rec.converged:
             continue
-        rep = rt.fixed_point_residual(mesh64, profile, params, rec)
+        rep = rt.fixed_point_residual(mesh64, profile, params, rec, cache=cache)
         worst = max(worst, rep.residual)
     ok = worst <= 1e-8
     report("3", ok, f"worst recomputed fixed-point residual = {worst:.2e}")
@@ -137,18 +144,21 @@ def test_c06_energy_identity(profile, params):
 
 
 def test_c07_maximal_growth_inequality(profile, params, mesh64, lattice_max):
+    # 1000 trials per k, drawn as 1000 random_trial calls would draw them
+    # and checked in blocks against one shared quadrature table
     rng = np.random.default_rng(0)
     ks = rt.lattice_magnitudes(params.L1, params.L2, 8.0)[:5]
+    cache = rt.FormCache(mesh64, profile)
     violations = 0
     worst = -math.inf
     for k in ks:
-        for _ in range(1000):
-            trial = random_trial(mesh64, float(k), rng)
-            rep = rt.check_variational_inequality(lattice_max.Lambda, trial,
-                                                  float(k), profile, params)
-            worst = max(worst, rep.residual)
-            if not rep.passed:
-                violations += 1
+        for start in range(0, 1000, _TRIAL_BLOCK):
+            block = _random_trials(mesh64, float(k), rng,
+                                   min(_TRIAL_BLOCK, 1000 - start))
+            res = _inequality_residuals(lattice_max.Lambda, block, float(k),
+                                        profile, params, cache)
+            worst = max(worst, res.max())
+            violations += int(np.count_nonzero(~(res <= INEQUALITY_SLACK)))
     ok = violations == 0
     report("7", ok, f"5000 trials, {violations} violations, worst signed "
                     f"residual = {worst:.3e}, Lambda = {lattice_max.Lambda:.6f}")

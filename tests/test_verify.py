@@ -8,8 +8,12 @@ import rtspec as rt
 from rtspec.discretization import quadrature
 from rtspec.errors import ConfigError
 from rtspec.verify import (
+    MONOTONE_GRID_FLOOR,
+    MONOTONE_GRID_POINTS,
     CheckReport,
     TrialFunction,
+    _inequality_residuals,
+    _random_trials,
     appendix_d_suite,
     convergence_suite,
     monotone_suite,
@@ -170,6 +174,115 @@ def test_inequality_cache_matches_pointwise_formula(profile, params, mesh64,
                                                   params)
         assert abs(shared.residual - expected) <= 1e-12 * max(1.0,
                                                                abs(expected))
+
+
+def _one_trial_coeffs(mesh, k, rng):
+    """One trial's DOF vector, drawn and summed bump by bump on its own."""
+    a = mesh.a
+    amps = rng.uniform(0.2, 1.0, 5) * rng.choice([-1.0, 1.0], 5)
+    centers = rng.uniform(-a, 0.0, 5)
+    widths = rng.uniform(a / 20.0, a / 4.0, 5)
+    x = mesh.nodes
+    vals = np.zeros_like(x)
+    slopes = np.zeros_like(x)
+    for amp, c, w in zip(amps, centers, widths):
+        e = amp * np.exp(-((x - c) ** 2) / (2.0 * w * w))
+        vals += e
+        slopes += e * (c - x) / (w * w)
+    coeffs = np.empty(mesh.dof_count)
+    coeffs[0::2] = vals
+    coeffs[1::2] = slopes
+    coeffs[1] = k * coeffs[0]
+    return coeffs
+
+
+def test_trial_block_columns_are_the_single_trials(mesh64):
+    # two blocks drawn in a row hold the trials of as many random_trial
+    # calls on the same seed, bit for bit, and leave the stream in step
+    rngs = [np.random.default_rng(11) for _ in range(3)]
+    blocks = [_random_trials(mesh64, 1.5, rngs[0], m) for m in (37, 27)]
+    columns = np.hstack([b.coeffs for b in blocks])
+    tails = np.concatenate([b.A1 for b in blocks])
+    for j in range(columns.shape[1]):
+        single = rt.random_trial(mesh64, 1.5, rngs[1])
+        assert np.array_equal(columns[:, j], single.coeffs)
+        assert np.array_equal(single.coeffs,
+                              _one_trial_coeffs(mesh64, 1.5, rngs[2]))
+        assert tails[j] == single.A1
+        assert blocks[0].tau == single.tau and single.A2 == 0.0
+    assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+
+def test_block_residuals_match_single_checks(profile, params, mesh64,
+                                             lattice_max):
+    Lambda = lattice_max.Lambda
+    cache = rt.FormCache(mesh64, profile)
+    for k in (1.0, 2.0):
+        seed = int(10 * k)
+        block = _random_trials(mesh64, k, np.random.default_rng(seed), 40)
+        residuals = _inequality_residuals(Lambda, block, k, profile, params,
+                                          cache)
+        assert residuals.shape == (40,)
+        rng = np.random.default_rng(seed)
+        for res in residuals:
+            trial = rt.random_trial(mesh64, k, rng)
+            single = rt.check_variational_inequality(Lambda, trial, k,
+                                                     profile, params)
+            expected = _pointwise_inequality_residual(Lambda, trial, k,
+                                                      profile, params)
+            assert abs(res - single.residual) <= 1e-12 * max(1.0, abs(res))
+            assert abs(res - expected) <= 1e-12 * max(1.0, abs(expected))
+        rep = rt.check_variational_inequality(Lambda, block, k, profile,
+                                              params, cache=cache)
+        assert rep.residual == residuals.max()
+        assert rep.passed
+
+
+def test_zero_trial_in_block_has_zero_residual(profile, params, mesh64):
+    block = _random_trials(mesh64, 1.0, np.random.default_rng(3), 8)
+    coeffs = block.coeffs.copy()
+    coeffs[:, 5] = 0.0
+    zeroed = TrialFunction(mesh=mesh64, coeffs=coeffs, A1=coeffs[0], A2=0.0,
+                           tau=block.tau)
+    before = _inequality_residuals(0.5, block, 1.0, profile, params)
+    after = _inequality_residuals(0.5, zeroed, 1.0, profile, params)
+    assert after[5] == 0.0
+    assert np.array_equal(np.delete(after, 5), np.delete(before, 5))
+
+
+def test_monotone_suite_solves_one_pencil_per_rate(profile, params, mesh64,
+                                                   growth_cap, monkeypatch):
+    import rtspec.verify
+
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return rt.gamma_values(*args, **kwargs)
+
+    monkeypatch.setattr(rtspec.verify, "gamma_values", counted)
+    reports = monotone_suite(profile, params)
+    assert solves == [4] * MONOTONE_GRID_POINTS
+    monkeypatch.undo()
+    grid = np.geomspace(MONOTONE_GRID_FLOOR, growth_cap, MONOTONE_GRID_POINTS)
+    probes = [rt.monotonicity_probe(mesh64, profile, params, 1.0, n, grid,
+                                    quantity)
+              for n in range(1, 5) for quantity in ("gamma", "rate-ratio")]
+    assert [rep.name for rep in reports] == [rep.name for rep in probes]
+    for rep, probe in zip(reports, probes):
+        assert rep.metadata == probe.metadata
+        assert rep.passed == probe.passed
+        assert abs(rep.residual - probe.residual) <= 1e-10 * abs(probe.residual)
+
+
+def test_fixed_point_residual_shares_a_cache(profile, params, mesh64):
+    cache = rt.FormCache(mesh64, profile)
+    for n in (1, 2):
+        rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, n)
+        shared = rt.fixed_point_residual(mesh64, profile, params, rec,
+                                         cache=cache)
+        assert shared == rt.fixed_point_residual(mesh64, profile, params, rec)
+    assert cache.__dict__.get("wmass") is not None
 
 
 def test_appendix_d_suite_passes():
