@@ -35,6 +35,34 @@ class Mesh:
     def nodes(self) -> np.ndarray:
         return np.linspace(-self.a, 0.0, self.n_elements + 1)
 
+    @cached_property
+    def reference_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss points xi in [0, 1] of one element and their weights,
+        including the h/2 factor; read-only, since every caller shares them."""
+        t, w = np.polynomial.legendre.leggauss(self.quadrature_points)
+        xi, wq = 0.5 * (t + 1.0), 0.5 * w * self.h
+        xi.flags.writeable = wq.flags.writeable = False
+        return xi, wq
+
+    @cached_property
+    def quadrature_shapes(self) -> np.ndarray:
+        """Shape values and first two derivatives at one element's quadrature
+        points, shape (3, n_quad, 4): [derivative order, point, local DOF];
+        read-only."""
+        xi, _ = self.reference_quadrature
+        shapes = hermite_shapes(xi, self.h)[:3].transpose(0, 2, 1)
+        shapes.flags.writeable = False
+        return shapes
+
+    @cached_property
+    def element_dofs(self) -> np.ndarray:
+        """Global DOFs of each element, shape (n_elements, 4): (value left,
+        slope left, value right, slope right); read-only."""
+        e = np.arange(self.n_elements)
+        dofs = np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3], axis=1)
+        dofs.flags.writeable = False
+        return dofs
+
     @property
     def h(self) -> float:
         return self.a / self.n_elements
@@ -120,41 +148,32 @@ def hermite_shapes(xi: np.ndarray, h: float) -> np.ndarray:
     return n
 
 
-def _quad_rule(mesh: Mesh):
-    """Reference quadrature (xi in [0,1], weights including the h/2 factor)."""
-    t, w = np.polynomial.legendre.leggauss(mesh.quadrature_points)
-    return 0.5 * (t + 1.0), 0.5 * w * mesh.h
-
-
 def quadrature(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Physical quadrature points and weights, each shape (n_elements, n_quad)."""
-    xi, wq = _quad_rule(mesh)
+    xi, wq = mesh.reference_quadrature
     pts = mesh.nodes[:-1, None] + mesh.h * xi[None, :]
     return pts, np.broadcast_to(wq, pts.shape).copy()
 
 
-def _element_dofs(mesh: Mesh) -> np.ndarray:
-    e = np.arange(mesh.n_elements)
-    return np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3], axis=1)
+def quadrature_values(mesh: Mesh, coeffs: np.ndarray) -> np.ndarray:
+    """Values and first two derivatives at the quadrature points.
 
-
-def quadrature_basis(mesh: Mesh) -> np.ndarray:
-    """Basis values and first two derivatives at the quadrature points.
-
-    Shape (3, n_points, dof_count): [derivative order, point, DOF], with
-    the points ordered as ``quadrature(mesh)[0].ravel()``.
+    ``coeffs`` is one DOF vector or a matrix whose columns are DOF vectors.
+    Returns shape (3, n_points) or (3, n_points, m): [derivative order,
+    point, column], with the points ordered as ``quadrature(mesh)[0].ravel()``.
+    Each element combines only its own four DOFs.
     """
-    xi, _ = _quad_rule(mesh)
-    shapes = hermite_shapes(xi, mesh.h)[:3].transpose(0, 2, 1)
-    rows = np.arange(mesh.n_elements * xi.size).reshape(mesh.n_elements, -1)
-    basis = np.zeros((3, rows.size, mesh.dof_count))
-    basis[:, rows[:, :, None], _element_dofs(mesh)[:, None, :]] = shapes[:, None]
-    return basis
+    local = coeffs[mesh.element_dofs]
+    if coeffs.ndim == 1:
+        local = local[:, :, None]
+    values = mesh.quadrature_shapes[:, None] @ local
+    points = mesh.n_elements * mesh.quadrature_points
+    return values.reshape(3, points, *coeffs.shape[1:])
 
 
 def _scatter(mesh: Mesh, local: np.ndarray) -> np.ndarray:
     """Accumulate per-element 4x4 blocks into the global matrix."""
-    dofs = _element_dofs(mesh)
+    dofs = mesh.element_dofs
     full = np.zeros((mesh.dof_count, mesh.dof_count))
     if local.ndim == 2:
         local = np.broadcast_to(local, (mesh.n_elements, 4, 4))
@@ -168,7 +187,7 @@ def _interior_form(mesh: Mesh, coeffs: dict[int, np.ndarray | float]) -> np.ndar
     ``coeffs`` maps derivative order to either a constant or a per
     (element, quad point) coefficient array.
     """
-    xi, wq = _quad_rule(mesh)
+    xi, wq = mesh.reference_quadrature
     shapes = hermite_shapes(xi, mesh.h)
     local = np.zeros((mesh.n_elements, 4, 4))
     for order, c in coeffs.items():
@@ -280,7 +299,7 @@ class HermiteFunction:
                        mesh.n_elements - 1)
         xi = (x - mesh.nodes[elem]) / mesh.h
         n = hermite_shapes(xi, mesh.h)[deriv]
-        dofs = _element_dofs(mesh)[elem]
+        dofs = mesh.element_dofs[elem]
         out = np.einsum("pi,ip->p", self.coeffs[dofs], n)
         return float(out[0]) if scalar else out
 

@@ -5,22 +5,31 @@ The n-th growth rate at wavenumber k is the unique root of
 comes from strict monotonicity of lam / gamma_n(lam, k) (every term of
 the quadratic form lam * B_lam grows with lam), which pins the sign
 structure of f: positive below the root, negative above.  The root is
-found by Brent's method, which keeps a bracket with f > 0 at one end and
-f < 0 at the other, so it is safe even where gamma_n itself is not
-monotone, and converges superlinearly where f is smooth.
+found by Newton's method safeguarded by a bracket with f > 0 at one end and
+f < 0 at the other, so it is safe even where f itself is not monotone.
+Every step evaluates f and f' from ``branch_evaluation``: Rayleigh
+quotients free of eigensolver noise, from vectors warm-started at the
+previous step's.  A dense eigensolve at the returned rate certifies it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .discretization import Mesh
 from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError, NumericalError
-from .spectral_core import FormCache, assemble_B, gamma_values
+from .spectral_core import (
+    BranchEvaluation,
+    FormCache,
+    assemble_B,
+    branch_evaluation,
+    dense_branches,
+    gamma_values,
+)
 
 NO_UNSTABLE_BRANCH = "no-unstable-branch"
 MAX_ITERATIONS = "max-iterations"
@@ -53,12 +62,33 @@ class SolverSettings:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """How one growth record was found.
+
+    Counts are of this solve's own eigen-evaluations: bracket ends a sweep
+    solved once per k are not included.  ``dense_solves`` counts dense
+    eigensolves (ends solved here, fallbacks of warm evaluations and the
+    certificate at the returned rate), ``block_evaluations`` the warm
+    evaluations and ``block_iterations`` their subspace iterations.
+    ``residual_rel`` is the certificate's |f| / lambda.
+    """
+
+    dense_solves: int
+    block_evaluations: int
+    block_iterations: int
+    start_bracket: tuple[float, float]
+    final_bracket: tuple[float, float]
+    residual_rel: float
+
+
+@dataclass(frozen=True)
 class GrowthRecord:
     """One (wavenumber, branch) growth-rate solve.
 
     ``residual`` is the absolute fixed-point defect |g k^2 gamma_n - lam_n|
-    recomputed at the returned rate; non-converged records carry NaN and a
-    reason string.
+    recomputed at the returned rate by a dense eigensolve; records without
+    a branch carry NaN and a reason string.  ``stats`` (not compared)
+    tells how a solved record was found.
     """
 
     k: float
@@ -68,6 +98,7 @@ class GrowthRecord:
     iterations: int
     converged: bool
     reason: str | None = None
+    stats: SolveStats | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -98,19 +129,24 @@ def _no_branch(k: float, n: int) -> GrowthRecord:
 def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                    k: float, n: int, settings: SolverSettings = SolverSettings(),
                    cache: FormCache | None = None, *,
-                   ends: tuple[np.ndarray, np.ndarray] | None = None
+                   ends: tuple[list[BranchEvaluation], np.ndarray] | None = None
                    ) -> GrowthRecord:
-    """Solve for the n-th growth rate at wavenumber k with Brent's method.
+    """Solve for the n-th growth rate at wavenumber k by bracketed Newton.
 
     The root of f starts bracketed by [BRACKET_FLOOR * cap, cap]; the
     bracket shrinks until its width is at most ``settings.tol_rel`` times
-    its upper end, or for at most ``settings.max_iter`` steps (one
-    evaluation each).  The bracket end with the smaller |f| is returned;
-    ``iterations`` counts the steps after the two end evaluations.
+    its upper end, or for at most ``settings.max_iter`` steps (one warm
+    evaluation each).  A step is Newton's from the last point; it bisects
+    when Newton leaves the bracket or f' >= 0, and steps a quarter
+    tolerance past a root predicted within half a tolerance, so that one
+    evaluation closes the bracket.  An exact root, or else the secant root
+    of the final bracket, is returned with the residual of a dense solve
+    there; ``iterations`` counts the steps after the two end evaluations.
 
-    ``ends`` holds ``gamma_values`` at the two bracket ends, for at least n
-    branches; a sweep passes them to solve each end once per wavenumber.
-    Without it the ends are solved here.
+    ``ends`` holds ``dense_branches`` at the lower end and ``gamma_values``
+    at the upper end, for at least n branches; a sweep passes them to
+    solve each end once per wavenumber.  Without it the ends are solved
+    here.
 
     Returns a non-converged record with reason ``no-unstable-branch`` when
     the branch is absent (degenerate stratification, or n beyond the
@@ -126,84 +162,95 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     if cap == 0.0:
         return _no_branch(k, n)
     gk2 = params.g * k * k
+    dense_solves = block_evaluations = block_iterations = 0
 
-    def f(lam: float, gammas: np.ndarray | None = None) -> float | None:
-        if gammas is None:
-            gammas = gamma_values(
-                assemble_B(mesh, profile, params, k, lam, cache=cache), n)
-        if gammas.size < n:
+    def evaluate(lam: float, block: np.ndarray | None = None):
+        """(f, f', block) at lam, or None when branch n is absent there."""
+        nonlocal dense_solves, block_evaluations, block_iterations
+        ev = branch_evaluation(
+            assemble_B(mesh, profile, params, k, lam, cache=cache), params,
+            cache, n, block)
+        if ev is None:
             return None
-        return gk2 * gammas[n - 1] - lam
+        block_evaluations += block is not None
+        block_iterations += ev.iterations
+        dense_solves += ev.dense
+        return gk2 * ev.gamma - lam, gk2 * ev.slope - 1.0, ev.block
 
-    gammas_lo, gammas_hi = (None, None) if ends is None else ends
-    lo = BRACKET_FLOOR * cap
-    f_lo = f(lo, gammas_lo)
-    if f_lo is None or f_lo <= 0.0:
+    lo, hi = BRACKET_FLOOR * cap, cap
+    if ends is None:
+        ends = (dense_branches(assemble_B(mesh, profile, params, k, lo,
+                                          cache=cache), params, cache, n),
+                gamma_values(assemble_B(mesh, profile, params, k, hi,
+                                        cache=cache), n))
+        dense_solves += 2
+    lowers, upper = ends
+    if len(lowers) < n or upper.size < n:
         return _no_branch(k, n)
-    hi = cap
-    f_hi = f(hi, gammas_hi)
-    if f_hi is None:
+    lower = lowers[n - 1]
+    f_lo = gk2 * lower.gamma - lo
+    if f_lo <= 0.0:
         return _no_branch(k, n)
+    f_hi = gk2 * upper[n - 1] - hi
     if f_hi >= 0.0:
         raise NumericalError(
             f"fixed-point bracket failed at k={k}, n={n}: f({cap}) >= 0")
 
-    # Brent's zeroin (Brent 1973, ch. 4).  b is the best estimate, c the
-    # contrapoint with f(c) of the opposite sign, so [b, c] (in either
-    # order) always brackets the root; a is the previous b.
-    a, fa, b, fb = lo, f_lo, hi, f_hi
-    c, fc = a, fa
-    d = e = b - a
+    # x is the last point evaluated; Newton steps from there.
+    x, fx, dfx, block = lo, f_lo, gk2 * lower.slope - 1.0, lower.block
     iterations = 0
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        if fb == 0.0:  # an exact root closes the bracket
-            c = b
-        tol = 0.5 * settings.tol_rel * max(b, c)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or iterations >= settings.max_iter:
-            break
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        if fb is None:
+    while hi - lo > settings.tol_rel * hi and iterations < settings.max_iter:
+        t = math.nan
+        if dfx < 0.0:
+            step = fx / dfx
+            t = x - step
+            # The tolerance is taken at the predicted root, not at hi: a
+            # bracket that still ends at the cap would make it too wide.
+            tol = settings.tol_rel * t
+            if abs(step) <= 0.5 * tol:
+                t += math.copysign(0.25 * tol, fx)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        found = evaluate(t, block)
+        if found is None:
             return _no_branch(k, n)
         iterations += 1
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
+        x, (fx, dfx, block) = t, found
+        # At a bracket of adjacent floats the midpoint is an end, where a
+        # second evaluation may round to the other sign: keep the bracket.
+        if not lo < x < hi:
+            continue
+        if fx > 0.0:
+            lo, f_lo = x, fx
+        elif fx < 0.0:
+            hi, f_hi = x, fx
+        elif x < x + 0.25 * settings.tol_rel * x:
+            # An exact root closes the bracket, unless the tolerance is
+            # below the float spacing there: no bracket can then meet it.
+            lo = hi = x
 
-    residual = abs(fb)
-    interval_ok = abs(c - b) <= settings.tol_rel * max(b, c)
-    converged = interval_ok and residual <= FIXED_POINT_RTOL * b
+    # The secant root of a closed bracket is exact to its width squared.
+    rate = lo if lo == hi else lo + f_lo * (hi - lo) / (f_lo - f_hi)
+    interval_ok = hi - lo <= settings.tol_rel * hi
+    certificate = evaluate(rate)
+    if certificate is None:
+        return _no_branch(k, n)
+    residual = abs(certificate[0])
+    converged = interval_ok and residual <= FIXED_POINT_RTOL * rate
     if converged:
         reason = None
     elif not interval_ok:
         reason = MAX_ITERATIONS
     else:
         reason = RESIDUAL_ABOVE_TOLERANCE
-    return GrowthRecord(k=k, n=n, lambda_n=b, residual=residual,
+    stats = SolveStats(dense_solves=dense_solves,
+                       block_evaluations=block_evaluations,
+                       block_iterations=block_iterations,
+                       start_bracket=(BRACKET_FLOOR * cap, cap),
+                       final_bracket=(lo, hi), residual_rel=residual / rate)
+    return GrowthRecord(k=k, n=n, lambda_n=rate, residual=residual,
                         iterations=iterations, converged=converged,
-                        reason=reason)
+                        reason=reason, stats=stats)
 
 
 def dispersion(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
@@ -221,10 +268,12 @@ def dispersion(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     records: list[GrowthRecord] = []
     for k in k_values:
         k = float(k)
-        ends = None if cap == 0.0 else tuple(
-            gamma_values(assemble_B(mesh, profile, params, k, lam, cache=cache),
-                         n_max)
-            for lam in (BRACKET_FLOOR * cap, cap))
+        ends = None if cap == 0.0 else (
+            dense_branches(assemble_B(mesh, profile, params, k,
+                                      BRACKET_FLOOR * cap, cache=cache),
+                           params, cache, n_max),
+            gamma_values(assemble_B(mesh, profile, params, k, cap,
+                                    cache=cache), n_max))
         absent = False
         for n in range(1, n_max + 1):
             if absent:

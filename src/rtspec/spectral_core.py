@@ -14,6 +14,12 @@ slope DOF is eliminated by ``surface_moment_row``, so the reduced pencil
 is the leading block of (WMASS, K) plus an update of its last three rows
 and columns (a 3x3 corner for the banded element matrices).  Returned
 eigenvectors are lifted back to the full DOF vector.
+
+``gamma_values`` and ``gamma_spectrum`` return the eigenvalues of the
+pencil they are given, with relative noise of about eps * cond(K).  The
+root finder reads ``branch_evaluation`` instead: the Rayleigh quotient of
+each eigenvector with both quadratic forms summed as squares at the
+quadrature points, which is free of that noise, and its rate derivative.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from .discretization import (
     assemble_weighted_mass,
     boundary_quotient_form,
     quadrature,
-    quadrature_basis,
+    quadrature_values,
+    tau_decay,
 )
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import CoercivityError
@@ -45,7 +52,16 @@ DROP_THRESHOLD = 1e-12
 
 # Half-bandwidth of K: cubic Hermite elements couple the four value and
 # slope DOFs of two adjacent nodes, and the endpoint forms stay in that band.
+# The moment-constrained K keeps it: its update fills the last 3x3 corner.
 KMAT_BANDWIDTH = 3
+
+# A warm evaluation stops once branch n's relative eigen-residual is at
+# most _BLOCK_RTOL (gamma's error is second order in the vector error),
+# and falls back to a dense solve after _BLOCK_MAX_ITERATIONS iterations.
+# Its block carries _GUARD_VECTORS vectors beyond branch n.
+_BLOCK_RTOL = 1e-6
+_BLOCK_MAX_ITERATIONS = 8
+_GUARD_VECTORS = 2
 
 
 @dataclass(frozen=True)
@@ -82,13 +98,35 @@ class SpectrumResult:
         return self.gammas.size
 
 
+@dataclass(frozen=True)
+class BranchEvaluation:
+    """One branch at one rate, as the root finder reads it.
+
+    ``gamma`` is the Rayleigh quotient of the branch's vector and ``slope``
+    its derivative d gamma / d lam, both from sums of squares at the
+    quadrature points.  ``block`` holds the vectors of this branch and the
+    branches above it on the moment-constrained trial space, plus
+    _GUARD_VECTORS more unless a dense subset solve without a warm start
+    produced it: the start of the next warm evaluation.  ``iterations``
+    counts block iterations; ``dense`` says whether a dense eigensolve
+    produced the vectors.
+    """
+
+    gamma: float
+    slope: float
+    block: np.ndarray
+    iterations: int
+    dense: bool
+
+
 class FormCache:
-    """Per-(mesh, profile) cache of the interior forms and quadrature table.
+    """Per-(mesh, profile) cache of the interior forms and quadrature data.
 
     Boundary forms are rate-dependent and cheap, so only H2 / WGRAD /
-    WMASS are cached, plus the ``layer`` table that interior integrals of
-    element functions read.  H2 and WGRAD are kept for the last k asked
-    for only, so a sweep's cache does not grow with its k values.
+    WMASS are cached, plus the ``layer`` weights and densities that
+    quadrature sums over element functions read.  H2 and WGRAD are kept
+    for the last k asked for only, so a sweep's cache does not grow with
+    its k values.
     Immutable inputs make this safe to share.
     """
 
@@ -102,12 +140,11 @@ class FormCache:
         return assemble_weighted_mass(self.mesh, self.profile)
 
     @cached_property
-    def layer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(weights, quadrature_basis, rho0, drho0) at the raveled points."""
+    def layer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(weights, rho0, drho0) at the raveled quadrature points."""
         pts, wts = quadrature(self.mesh)
         x = pts.ravel()
-        return (wts.ravel(), quadrature_basis(self.mesh), self.profile.rho0(x),
-                self.profile.drho0(x))
+        return wts.ravel(), self.profile.rho0(x), self.profile.drho0(x)
 
     def interior(self, k: float) -> tuple[SymForm, SymForm]:
         if k not in self._by_k:
@@ -131,11 +168,8 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     h2, wgrad = cache.interior(k)
     bv0, bva = assemble_boundary_forms(mesh, k, lam, params, profile)
     kmat = lam * wgrad.matrix + params.mu * h2.matrix + bv0.matrix + bva.matrix
-    band = np.zeros((KMAT_BANDWIDTH + 1, kmat.shape[0]))
-    for d in range(KMAT_BANDWIDTH + 1):
-        band[d, :band.shape[1] - d] = np.diagonal(kmat, -d)
     try:
-        sla.cholesky_banded(band, overwrite_ab=True, lower=True,
+        sla.cholesky_banded(_lower_band(kmat), overwrite_ab=True, lower=True,
                             check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise CoercivityError(
@@ -143,6 +177,14 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         ) from exc
     return PencilAssembly(K=SymForm(kmat, "B"), Mw=cache.wmass, lam=lam, k=k,
                           h=mesh.h)
+
+
+def _lower_band(matrix: np.ndarray) -> np.ndarray:
+    """Lower band storage of a matrix with half-bandwidth KMAT_BANDWIDTH."""
+    band = np.zeros((KMAT_BANDWIDTH + 1, matrix.shape[0]))
+    for d in range(KMAT_BANDWIDTH + 1):
+        band[d, :band.shape[1] - d] = np.diagonal(matrix, -d)
+    return band
 
 
 def surface_moment_row(h: float, k: float) -> np.ndarray:
@@ -171,6 +213,12 @@ def _reduced_pencil(pencil: PencilAssembly):
             _constrained(pencil.K.matrix, row), row)
 
 
+def _positive_count(vals: np.ndarray) -> int:
+    """Leading entries of decreasing ``vals`` above the zero block of WMASS."""
+    top = vals[0] if vals.size else 0.0
+    return int(np.count_nonzero(vals > max(0.0, DROP_THRESHOLD * top)))
+
+
 def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
     """Largest n_max eigenvalues of Mw x = gamma K x with K-orthonormal vectors.
 
@@ -181,10 +229,8 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
         raise ValueError("n_max must be at least 1")
     mw, kmat, row = _reduced_pencil(pencil)
     vals, vecs = sla.eigh(mw, kmat)
-    top = vals[-1] if vals.size else 0.0
-    keep = vals > max(0.0, DROP_THRESHOLD * top)
-    vals, vecs = vals[keep][::-1], vecs[:, keep][:, ::-1]
-    count = min(n_max, vals.size)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    count = min(n_max, _positive_count(vals))
     gammas, reduced = vals[:count].copy(), vecs[:, :count]
     if count:
         res = mw @ reduced - kmat @ reduced * gammas
@@ -193,21 +239,169 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
         max_residual = float((np.linalg.norm(res, axis=0) / scale).max())
     else:
         max_residual = 0.0
-    vectors = np.vstack([reduced, row @ reduced[-3:]])
+    vectors = _lift(reduced, row)
     return SpectrumResult(gammas=gammas, vectors=vectors, n_max=n_max,
                           complete=count == n_max, max_residual=max_residual)
 
 
 def gamma_values(pencil: PencilAssembly, n_max: int) -> np.ndarray:
-    """Largest n_max eigenvalues only (no vectors); cheap path for root finding."""
+    """Largest n_max eigenvalues only (no vectors), as ``eigh`` returns them.
+
+    They carry eps * cond(K) relative noise; ``branch_evaluation`` is the
+    accurate evaluation.
+    """
     mw, kmat, _ = _reduced_pencil(pencil)
     dof = kmat.shape[0]
     lo = max(0, dof - n_max)
     vals = sla.eigh(mw, kmat, eigvals_only=True, overwrite_a=True,
-                    overwrite_b=True, subset_by_index=(lo, dof - 1))
-    top = vals[-1] if vals.size else 0.0
-    vals = vals[vals > max(0.0, DROP_THRESHOLD * top)]
-    return vals[::-1]
+                    overwrite_b=True, subset_by_index=(lo, dof - 1))[::-1]
+    return vals[:_positive_count(vals)]
+
+
+def _rayleigh(pencil: PencilAssembly, params: PhysicalParams,
+              cache: FormCache, vector: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient gamma = x^T Mw x / x^T K x of a full DOF vector and
+    its rate derivative, from sums of squares.
+
+    The interior parts of both forms are the quadrature sums that assemble
+    them, evaluated as weighted squares of v, v', v''; the endpoint forms
+    enter in closed form.  This avoids the cancellation of x^T K x formed
+    from K's h^-3 entries.  d gamma / d lam = -gamma x^T K' x / x^T K x
+    (Lancaster 1964) with K' = WGRAD - (g k^2 rho+ / lam^2) e e^T
+    + (d BVA / d tau) rho- / (2 mu tau).
+    """
+    profile, mu = cache.profile, params.mu
+    k, lam = pencil.k, pencil.lam
+    k2 = k * k
+    w, rho, drho = cache.layer
+    v, dv, ddv = quadrature_values(cache.mesh, vector)
+    wgrad = (w * rho) @ (k2 * v * v + dv * dv)
+    h2 = w @ (ddv * ddv + 2.0 * k2 * dv * dv + k2 * k2 * v * v)
+    mass = (w * drho) @ (v * v)
+    va, da, v0, d0 = vector[0], vector[1], vector[-2], vector[-1]
+    tau = tau_decay(k, lam, profile.rho_minus, mu)
+    surface = params.g * k2 * profile.rho_plus * v0 * v0
+    depth = (k * tau * (k + tau) * va * va - 2.0 * k * tau * va * da
+             + (k + tau) * da * da)
+    kform = (lam * wgrad + mu * h2 + 2.0 * mu * k2 * v0 * d0 + surface / lam
+             + mu * depth)
+    dtau = k * (k + 2.0 * tau) * va * va - 2.0 * k * va * da + da * da
+    dkform = (wgrad - surface / (lam * lam)
+              + profile.rho_minus / (2.0 * tau) * dtau)
+    gamma = float(mass / kform)
+    return gamma, float(-gamma * dkform / kform)
+
+
+def _lift(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Full DOF vectors from moment-constrained ones: T x."""
+    return np.concatenate([x, [row @ x[-3:]]])
+
+
+def _subspace_iteration(pencil: PencilAssembly, row: np.ndarray, n: int,
+                        block: np.ndarray):
+    """Ritz pairs of the reduced pencil from ``block`` by K^-1 Mw iteration.
+
+    The block's first n + _GUARD_VECTORS columns start it.  Each iteration
+    solves K Y = Mw X with the banded Cholesky factor of the constrained K,
+    then takes the Rayleigh-Ritz pairs on span(Y) (largest first); K Y =
+    Mw X gives Y^T K Y and K x without a product with K.  The constrained
+    forms T^T A T are applied through T, so no reduced matrix is copied.
+    Returns (ritz values, vectors, iterations) once branch n's relative
+    residual is at most _BLOCK_RTOL, or None after _BLOCK_MAX_ITERATIONS
+    or when the block loses rank.
+    """
+    kmat, mw = pencil.K.matrix, pencil.Mw.matrix
+    # Only the last 3x3 corner of the banded K changes under T^T K T.
+    band = _lower_band(kmat[:-1, :-1])
+    corner_map = np.vstack([np.eye(3), row])
+    corner = corner_map.T @ kmat[-4:, -4:] @ corner_map
+    for d in range(3):
+        band[d, band.shape[1] - 3:band.shape[1] - d] = np.diagonal(corner, -d)
+
+    def apply_mw(x):
+        full = mw @ _lift(x, row)
+        reduced = full[:-1]
+        reduced[-3:] += np.outer(row, full[-1])
+        return reduced
+
+    try:
+        factor = sla.cholesky_banded(band, overwrite_ab=True, lower=True,
+                                     check_finite=False)
+        mx = apply_mw(block[:, :n + _GUARD_VECTORS])
+        for iteration in range(1, _BLOCK_MAX_ITERATIONS + 1):
+            y = sla.cho_solve_banded((factor, True), mx, check_finite=False)
+            my = apply_mw(y)
+            theta, z = sla.eigh(y.T @ my, y.T @ mx, check_finite=False)
+            theta, z = theta[::-1], z[:, ::-1]
+            kx = theta[n - 1] * (mx @ z[:, n - 1])
+            x, mx = y @ z, my @ z
+            res, m_n = mx[:, n - 1] - kx, mx[:, n - 1]
+            if res @ res <= _BLOCK_RTOL**2 * max(m_n @ m_n, kx @ kx):
+                return theta, x, iteration
+    except np.linalg.LinAlgError:
+        pass
+    return None
+
+
+def _evaluation(pencil: PencilAssembly, params: PhysicalParams,
+                cache: FormCache, row: np.ndarray, n: int, vals: np.ndarray,
+                vecs: np.ndarray, iterations: int,
+                dense: bool) -> BranchEvaluation | None:
+    """Branch n of decreasing eigen- or Ritz pairs, or None if it is absent."""
+    if _positive_count(vals) < n:
+        return None
+    gamma, slope = _rayleigh(pencil, params, cache, _lift(vecs[:, n - 1], row))
+    return BranchEvaluation(gamma=gamma, slope=slope,
+                            block=vecs[:, :n + _GUARD_VECTORS],
+                            iterations=iterations, dense=dense)
+
+
+def branch_evaluation(pencil: PencilAssembly, params: PhysicalParams,
+                      cache: FormCache, n: int,
+                      block: np.ndarray | None = None
+                      ) -> BranchEvaluation | None:
+    """Accurate gamma_n and its rate derivative at one pencil.
+
+    Without ``block`` the leading n eigenvectors come from a dense subset
+    eigensolve.  With it (a previous evaluation's block) they come from
+    warm subspace iteration; when that does not converge, a dense subset
+    eigensolve of n + _GUARD_VECTORS vectors gives the block the next
+    evaluation starts from.  None when branch n is absent.  ``params`` and
+    ``cache`` must be the ones the pencil was assembled from: the quotient
+    is recomputed from the forms, not the matrices.
+    """
+    row = surface_moment_row(pencil.h, pencil.k)
+    if block is not None:
+        found = _subspace_iteration(pencil, row, n, block)
+        if found is not None:
+            return _evaluation(pencil, params, cache, row, n, *found,
+                               dense=False)
+    mw, kmat, row = _reduced_pencil(pencil)
+    dof = kmat.shape[0]
+    count = n if block is None else n + _GUARD_VECTORS
+    vals, vecs = sla.eigh(mw, kmat, overwrite_a=True, overwrite_b=True,
+                          check_finite=False,
+                          subset_by_index=(max(0, dof - count), dof - 1))
+    return _evaluation(pencil, params, cache, row, n, vals[::-1],
+                       vecs[:, ::-1], 0, dense=True)
+
+
+def dense_branches(pencil: PencilAssembly, params: PhysicalParams,
+                   cache: FormCache, n: int) -> list[BranchEvaluation]:
+    """``branch_evaluation`` of branches 1..n from one full dense
+    eigendecomposition; fewer where the positive spectrum ends.
+
+    A subset eigensolve rounds differently for different subset sizes; the
+    full one gives every branch bit for bit whatever n is, so a sweep that
+    shares one lower bracket end among n branches starts each branch
+    exactly where a single solve would.
+    """
+    mw, kmat, row = _reduced_pencil(pencil)
+    vals, vecs = sla.eigh(mw, kmat, overwrite_a=True, overwrite_b=True,
+                          check_finite=False)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    return [_evaluation(pencil, params, cache, row, m, vals, vecs, 0, True)
+            for m in range(1, min(n, _positive_count(vals)) + 1)]
 
 
 def boundary_quotient_spectrum(mesh: Mesh, k: float,

@@ -1,9 +1,9 @@
 """Numerical verification of the identities the solver is built on.
 
 Each check returns a CheckReport with a scalar residual and a tolerance;
-pass means residual <= tolerance.  Interior integrals use the cached
-element quadrature table; tail integrals below the layer use closed
-forms for the exponential branches, so every check covers the half line.
+pass means residual <= tolerance.  Interior integrals are quadrature sums
+over the layer; tail integrals below the layer use closed forms for the
+exponential branches, so every check covers the half line.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Mesh, build_mesh
+from .discretization import Mesh, build_mesh, quadrature_values
 from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError
 from .growth_solver import (
@@ -29,6 +29,7 @@ from .spectral_core import (
     FormCache,
     assemble_B,
     boundary_quotient_spectrum,
+    branch_evaluation,
     gamma_values,
     quotient_stationary_values,
 )
@@ -144,10 +145,10 @@ def random_trial(mesh: Mesh, k: float, rng: np.random.Generator) -> TrialFunctio
 
 def _layer_integrals(trial: TrialFunction, cache: FormCache, k: float):
     """Layer integrals of rho0 (k^2 v^2 + v'^2), (v'' + k^2 v)^2 + 4 k^2 v'^2
-    and drho0 v^2 from the quadrature table of ``cache`` (the trial's mesh),
+    and drho0 v^2 at the quadrature points of ``cache`` (the trial's mesh),
     one value per trial of a block."""
-    w, basis, rho, drho = cache.layer
-    v, dv, ddv = basis @ trial.coeffs
+    w, rho, drho = cache.layer
+    v, dv, ddv = quadrature_values(trial.mesh, trial.coeffs)
     weighted_grad = (w * rho) @ (k * k * v * v + dv * dv)
     stress = w @ ((ddv + k * k * v) ** 2 + 4.0 * k * k * dv * dv)
     strat_mass = (w * drho) @ (v * v)
@@ -222,14 +223,22 @@ def _inequality_residuals(Lambda: float, trial: TrialFunction, k: float,
 def fixed_point_residual(mesh: Mesh, profile: DensityProfile,
                          params: PhysicalParams, record: GrowthRecord,
                          cache: FormCache | None = None) -> CheckReport:
-    """Recompute the branch eigenvalue at the solved rate and check the root."""
+    """Recompute the branch's gamma at the solved rate and check the root.
+
+    gamma comes from a dense eigensolve and the noise-free Rayleigh
+    quotient the root finder reads (``branch_evaluation``).
+    """
     if not record.converged:
         return CheckReport.make("fixed-point", 0.0, FIXED_POINT_RTOL,
                                 vacuous=True, k=record.k, n=record.n)
-    gammas = gamma_values(assemble_B(mesh, profile, params, record.k,
-                                     record.lambda_n, cache=cache), record.n)
+    if cache is None:
+        cache = FormCache(mesh, profile)
+    pencil = assemble_B(mesh, profile, params, record.k, record.lambda_n,
+                        cache=cache)
+    ev = branch_evaluation(pencil, params, cache, record.n)
     gk2 = params.g * record.k**2
-    res = abs(gk2 * gammas[record.n - 1] - record.lambda_n) / record.lambda_n
+    res = (math.inf if ev is None
+           else abs(gk2 * ev.gamma - record.lambda_n) / record.lambda_n)
     return CheckReport.make("fixed-point", res, FIXED_POINT_RTOL,
                             k=record.k, n=record.n, lam=record.lambda_n)
 

@@ -261,7 +261,8 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(rt.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, rtspec.cli; print(sorted(m for m in "
-             "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+             "('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -275,10 +276,11 @@ def test_growth_cap_and_sweep_leave_scipy_optimize_unloaded():
              "params = rt.PhysicalParams(mu=1.0, g=1.0); "
              "rt.char_length(p, params.g); "
              "rt.dispersion(rt.build_mesh(p.a, 16), p, params, [1.0], 2); "
-             "print('scipy.optimize' in sys.modules)")
+             "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_verify_tampered_tolerance_fails_controlled(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 import rtspec as rt
 from rtspec import growth_solver
+from rtspec import spectral_core
 from rtspec.errors import ConfigError
-from rtspec.growth_solver import MAX_ITERATIONS, NO_UNSTABLE_BRANCH
-from rtspec.spectral_core import gamma_values
+from rtspec.growth_solver import (
+    BRACKET_FLOOR,
+    MAX_ITERATIONS,
+    NO_UNSTABLE_BRANCH,
+)
+from rtspec.spectral_core import (
+    BranchEvaluation,
+    branch_evaluation,
+    dense_branches,
+    gamma_values,
+)
 
 from oracle_collocation import oracle_lambda
 
@@ -98,20 +109,31 @@ def test_unreachable_tolerance_stops_at_max_iter(profile, params, mesh64):
     assert rec.iterations == settings_.max_iter
 
 
-def _solve_synthetic(monkeypatch, mesh, profile, params, defect):
-    # f(lam) = defect(lam) on the rate interval (0, 1]: gamma_1 = lam + defect
+def _solve_synthetic(monkeypatch, mesh, profile, params, defect, slope):
+    # f(lam) = defect(lam) on the rate interval (0, 1]: gamma_1 = lam + defect,
+    # with f'(lam) = slope(lam)
+    def evaluation(lam, params_, cache, n, block=None):
+        return BranchEvaluation(gamma=lam + defect(lam), slope=1.0 + slope(lam),
+                                block=np.zeros((1, 1)), iterations=0,
+                                dense=block is None)
+
     monkeypatch.setattr(growth_solver, "char_length", lambda prof, g: (1.0, 1.0))
     monkeypatch.setattr(growth_solver, "assemble_B",
                         lambda mesh, prof, par, k, lam, cache=None: lam)
     monkeypatch.setattr(growth_solver, "gamma_values",
                         lambda lam, n: np.array([lam + defect(lam)]))
+    monkeypatch.setattr(growth_solver, "branch_evaluation", evaluation)
+    monkeypatch.setattr(growth_solver, "dense_branches",
+                        lambda *args: [evaluation(*args)])
     return rt.solve_lambda_n(mesh, profile, params, 1.0, 1)
 
 
 def test_exact_zero_ends_the_root_finder(monkeypatch, profile, params, mesh64):
-    # f vanishes on [0.3, 0.5]; the first secant step lands there
-    rec = _solve_synthetic(monkeypatch, mesh64, profile, params,
-                           lambda lam: max(0.3 - lam, 0.0) + min(0.5 - lam, 0.0))
+    # f vanishes on [0.3, 0.5]; the first Newton step lands there
+    rec = _solve_synthetic(
+        monkeypatch, mesh64, profile, params,
+        lambda lam: max(0.3 - lam, 0.0) + min(0.5 - lam, 0.0),
+        lambda lam: 0.0 if 0.3 <= lam <= 0.5 else -1.0)
     assert rec.converged
     assert rec.residual == 0.0
     assert 0.3 <= rec.lambda_n <= 0.5
@@ -120,9 +142,11 @@ def test_exact_zero_ends_the_root_finder(monkeypatch, profile, params, mesh64):
 
 def test_root_finder_survives_poor_interpolation(monkeypatch, profile, params,
                                                  mesh64):
-    # flat above the root and steep below it: unguarded interpolation crawls
+    # flat above the root and steep below it: Newton from the lower end
+    # advances about 1/50 per step until it nears the root
     rec = _solve_synthetic(monkeypatch, mesh64, profile, params,
-                           lambda lam: math.exp(-50.0 * lam) - math.exp(-15.0))
+                           lambda lam: math.exp(-50.0 * lam) - math.exp(-15.0),
+                           lambda lam: -50.0 * math.exp(-50.0 * lam))
     assert rec.converged
     assert abs(rec.lambda_n - 0.3) <= 1e-10
     assert rec.iterations <= 40  # bisection needs 35 steps here
@@ -266,17 +290,30 @@ def test_dispersion_matches_single_solves(profile, params, mesh64):
 
 def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
                                                    monkeypatch):
-    calls = []
+    calls = {}
 
-    def counted(pencil, n_max):
-        calls.append(n_max)
-        return gamma_values(pencil, n_max)
+    def counted(name):
+        solve = getattr(growth_solver, name)
 
-    monkeypatch.setattr(growth_solver, "gamma_values", counted)
+        def wrapper(*args):
+            calls.setdefault(name, []).append(args)
+            return solve(*args)
+        return wrapper
+
+    for name in ("gamma_values", "dense_branches", "branch_evaluation"):
+        monkeypatch.setattr(growth_solver, name, counted(name))
     k_values = np.geomspace(0.25, 4.0, 5)
     records = rt.dispersion(mesh64, profile, params, k_values, 4)
     assert all(rec.converged for rec in records)
-    assert len(calls) == 2 * len(k_values) + sum(r.iterations for r in records)
+    warm = [args for args in calls["branch_evaluation"] if args[4] is not None]
+    dense = (len(calls["gamma_values"]) + len(calls["dense_branches"])
+             + len(calls["branch_evaluation"]) - len(warm))
+    # two bracket ends per k, and one certificate per record
+    assert dense == 2 * len(k_values) + len(records)
+    assert len(warm) == sum(r.iterations for r in records)
+    for rec in records:
+        assert rec.stats.dense_solves == 1
+        assert rec.stats.block_evaluations == rec.iterations
 
 
 def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch):
@@ -293,3 +330,81 @@ def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch):
     rt.dispersion(mesh, profile, params, k_values, 1)
     assert len(caches) == 1
     assert list(caches[0]._by_k) == [k_values[-1]]
+
+
+@pytest.mark.parametrize("n_elements", [64, 128])
+@pytest.mark.parametrize("k", [0.25, 1.0])
+def test_fixed_point_function_is_smooth_near_the_root(profile, params, k,
+                                                      n_elements):
+    # eigh's own eigenvalues scatter by up to 1e-7 relative in this scan
+    mesh = rt.build_mesh(profile.a, n_elements)
+    cache = rt.FormCache(mesh, profile)
+    root = rt.solve_lambda_n(mesh, profile, params, k, 1, cache=cache).lambda_n
+    offsets = np.linspace(-1.0, 1.0, 13)
+    ratio = []
+    for lam in root * (1.0 + 1e-8 * offsets):
+        pencil = rt.assemble_B(mesh, profile, params, k, lam, cache=cache)
+        gamma = branch_evaluation(pencil, params, cache, 1).gamma
+        ratio.append(params.g * k * k * gamma / lam - 1.0)
+    fit = np.polyval(np.polyfit(offsets, ratio, 1), offsets)
+    assert np.abs(np.array(ratio) - fit).max() <= 1e-12
+
+
+def test_fine_mesh_sweep_converges(profile, params, mesh128):
+    records = rt.dispersion(mesh128, profile, params,
+                            np.geomspace(0.25, 4.0, 20), 4)
+    assert all(rec.converged for rec in records)
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0])
+def test_leading_rate_on_fine_mesh_matches_oracle(profile, params, k):
+    rec = rt.solve_lambda_n(rt.build_mesh(profile.a, 192), profile, params,
+                            k, 1)
+    assert rec.converged
+    lam_oracle = oracle_lambda(profile, params, k, 1)
+    assert abs(rec.lambda_n - lam_oracle) <= 1e-9 * lam_oracle
+
+
+def test_warm_and_dense_evaluations_agree(profile, params, mesh64):
+    cache = rt.FormCache(mesh64, profile)
+    k = 1.0
+    start = dense_branches(rt.assemble_B(mesh64, profile, params, k, 0.05,
+                                         cache=cache), params, cache, 4)
+    for lam in (0.06, 0.09, 0.12):
+        pencil = rt.assemble_B(mesh64, profile, params, k, lam, cache=cache)
+        for n in (1, 2, 3, 4):
+            warm = branch_evaluation(pencil, params, cache, n,
+                                     start[n - 1].block)
+            dense = branch_evaluation(pencil, params, cache, n)
+            assert not warm.dense and warm.iterations >= 1
+            assert dense.dense and dense.iterations == 0
+            assert abs(warm.gamma - dense.gamma) <= 1e-12 * dense.gamma
+
+
+def test_warm_evaluations_fall_back_to_dense_solves(profile, params, mesh64,
+                                                    monkeypatch):
+    k_values = np.geomspace(0.25, 4.0, 5)
+    warm = rt.dispersion(mesh64, profile, params, k_values, 4)
+    monkeypatch.setattr(spectral_core, "_BLOCK_MAX_ITERATIONS", 0)
+    dense = rt.dispersion(mesh64, profile, params, k_values, 4)
+    for a, b in zip(warm, dense):
+        assert a.converged and b.converged
+        assert a.stats.block_iterations >= a.iterations
+        assert b.stats.block_iterations == 0
+        assert b.stats.dense_solves == b.iterations + 1
+        assert abs(a.lambda_n - b.lambda_n) <= 1e-12 * b.lambda_n
+
+
+def test_records_report_how_they_were_found(profile, params, mesh64,
+                                            growth_cap):
+    settings_ = rt.SolverSettings()
+    rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, 2, settings_)
+    stats = rec.stats
+    assert stats.dense_solves == 3  # two bracket ends and the certificate
+    assert stats.block_evaluations == rec.iterations
+    assert stats.start_bracket == (BRACKET_FLOOR * growth_cap, growth_cap)
+    lo, hi = stats.final_bracket
+    assert lo <= rec.lambda_n <= hi
+    assert hi - lo <= settings_.tol_rel * hi
+    assert stats.residual_rel == rec.residual / rec.lambda_n
+    assert dataclasses.replace(rec, stats=None) == rec

@@ -5,7 +5,11 @@ import pytest
 
 import rtspec as rt
 from rtspec.errors import CoercivityError
-from rtspec.spectral_core import DROP_THRESHOLD
+from rtspec.spectral_core import (
+    DROP_THRESHOLD,
+    branch_evaluation,
+    dense_branches,
+)
 
 from oracle_collocation import oracle_gammas
 
@@ -91,12 +95,41 @@ def test_gamma_spectrum_contract(profile, params, mesh64):
     assert np.allclose(vals, spec.gammas, rtol=1e-12)
 
 
+@pytest.mark.parametrize("k", [0.3, 1.0, 3.0])
+def test_branch_evaluation_against_dense_pencil(profile, params, mesh64, k):
+    # the refined gammas are the pencil's eigenvalues (to the noise of the
+    # dense eigenvalues, 2.4e-8 at k = 0.3 and lam = 1e-4), and their slopes
+    # the central differences of the refined gammas
+    cache = rt.FormCache(mesh64, profile)
+
+    def evaluation(lam):
+        pencil = rt.assemble_B(mesh64, profile, params, k, lam, cache=cache)
+        branches = dense_branches(pencil, params, cache, 4)
+        gammas = np.array([ev.gamma for ev in branches])
+        subset = [branch_evaluation(pencil, params, cache, n).gamma
+                  for n in (1, 2, 3, 4)]
+        assert np.allclose(subset, gammas, rtol=1e-12)
+        return (rt.gamma_values(pencil, 4), gammas,
+                np.array([ev.slope for ev in branches]))
+
+    for lam in (1e-4, 0.02, 0.1):
+        values, gammas, slopes = evaluation(lam)
+        assert np.allclose(gammas, values, rtol=1e-7)
+        step = 1e-4 * lam
+        central = (evaluation(lam + step)[1]
+                   - evaluation(lam - step)[1]) / (2.0 * step)
+        assert np.abs(central - slopes).max() <= 1e-6 * np.abs(slopes).max()
+
+
 def test_gamma_spectrum_empty_for_degenerate(degenerate_profile, params,
                                              mesh64):
     pencil = rt.assemble_B(mesh64, degenerate_profile, params, 1.0, 0.1)
     spec = rt.gamma_spectrum(pencil, 3)
     assert len(spec) == 0
     assert not spec.complete
+    cache = rt.FormCache(mesh64, degenerate_profile)
+    assert dense_branches(pencil, params, cache, 3) == []
+    assert branch_evaluation(pencil, params, cache, 1) is None
 
 
 def test_gamma_scales_linearly_with_mass(profile, params, mesh64):
