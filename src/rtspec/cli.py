@@ -38,7 +38,10 @@ def _fmt(x: float) -> str:
 
 def _write_lines(path: str | Path, config: RunConfig, lines: list[str]) -> None:
     body = [f"# {line}" for line in config.echo_lines()] + lines
-    Path(path).write_text("\n".join(body) + "\n")
+    try:
+        Path(path).write_text("\n".join(body) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _record_row(r: GrowthRecord) -> str:
@@ -47,8 +50,8 @@ def _record_row(r: GrowthRecord) -> str:
 
 
 def cmd_dispersion(config: RunConfig, args) -> int:
-    if not 0 < args.k_min <= args.k_max:
-        raise ConfigError("require 0 < k-min <= k-max")
+    if not 0 < args.k_min <= args.k_max < math.inf:
+        raise ConfigError("require 0 < k-min <= k-max < inf")
     if args.n_k < 1:
         raise ConfigError("n-k must be at least 1")
     n_max = args.n_max if args.n_max is not None else config["solver.n_max"]
@@ -56,10 +59,7 @@ def cmd_dispersion(config: RunConfig, args) -> int:
         raise ConfigError("n-max must be at least 1")
     mesh, profile, params = config.mesh(), config.profile(), config.params()
     settings = config.solver_settings()
-    if args.n_k == 1:
-        ks = np.array([args.k_min])
-    else:
-        ks = np.geomspace(args.k_min, args.k_max, args.n_k)
+    ks = np.geomspace(args.k_min, args.k_max, args.n_k)
     records = dispersion(mesh, profile, params, ks, n_max, settings)
     lines = [CSV_HEADER] + [_record_row(r) for r in records]
     _write_lines(args.out, config, lines)
@@ -95,8 +95,12 @@ def cmd_lambda_max(config: RunConfig, args) -> int:
 
 def cmd_mode(config: RunConfig, args) -> int:
     L1, L2 = config["lattice.L1"], config["lattice.L2"]
+    if not (math.isfinite(args.k1) and math.isfinite(args.k2)):
+        raise ConfigError("k1 and k2 must be finite")
     if args.k1 == 0.0 and args.k2 == 0.0:
         raise ConfigError("zero wavenumber excluded")
+    if args.n < 1:
+        raise ConfigError("n must be at least 1")
     for label, value, period in (("k1", args.k1, L1), ("k2", args.k2, L2)):
         steps = value * period
         if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
@@ -179,6 +183,8 @@ def main(argv=None) -> int:
         print("rtspec: no OpenBLAS found to pin to one thread; BLAS keeps "
               "its own thread settings", file=sys.stderr)
     try:
+        if args.out is not None and not Path(args.out).parent.is_dir():
+            raise ConfigError(f"no directory for --out {args.out}")
         config = load_config(args.config)
         handler = {
             "dispersion": cmd_dispersion,

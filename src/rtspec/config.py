@@ -117,6 +117,8 @@ def _validate(table: dict[str, object]) -> None:
         value = table[key]
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"config key {key!r} must be finite, got {value}")
+        if key == "seed" and value < 0:
+            raise ConfigError(f"config key 'seed' must be non-negative, got {value}")
         if kind in (int, float) and key != "seed" and not value > 0:
             raise ConfigError(f"config key {key!r} must be positive, got {value}")
 
@@ -126,7 +128,11 @@ def load_config(path: str | Path | None = None,
     """Defaults, then file values, then explicit overrides; strict keys."""
     table = dict(_DEFAULTS)
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue

@@ -303,7 +303,9 @@ class HermiteFunction:
         out = np.einsum("pi,ip->p", self.coeffs[dofs], n)
         return float(out[0]) if scalar else out
 
-    def max_abs(self, samples_per_element: int = 8) -> float:
+    def peak(self, samples_per_element: int = 8) -> float:
+        """The sampled value of largest magnitude, with its sign."""
         sub = np.linspace(0.0, 1.0, samples_per_element + 1)
         pts = (self.mesh.nodes[:-1, None] + self.mesh.h * sub[None, :]).ravel()
-        return float(np.abs(self(pts)).max())
+        vals = self(pts)
+        return float(vals[np.argmax(np.abs(vals))])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Mesh
+from .discretization import Mesh, build_mesh
 from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError, NumericalError
 from .spectral_core import (
@@ -126,6 +126,17 @@ def _no_branch(k: float, n: int) -> GrowthRecord:
                         iterations=0, converged=False, reason=NO_UNSTABLE_BRANCH)
 
 
+def _bracket_ends(params: PhysicalParams, k: float, n: int, cap: float,
+                  cache: FormCache) -> tuple[list[BranchEvaluation], np.ndarray]:
+    """Bracket ends of branches 1..n: every dense branch at BRACKET_FLOOR *
+    cap and the eigenvalues at the cap."""
+    mesh, profile = cache.mesh, cache.profile
+    return (dense_branches(assemble_B(mesh, profile, params, k,
+                                      BRACKET_FLOOR * cap, cache=cache), n),
+            gamma_values(assemble_B(mesh, profile, params, k, cap,
+                                    cache=cache), n))
+
+
 def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                    k: float, n: int, settings: SolverSettings = SolverSettings(),
                    cache: FormCache | None = None, *,
@@ -143,10 +154,9 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     of the final bracket, is returned with the residual of a dense solve
     there; ``iterations`` counts the steps after the two end evaluations.
 
-    ``ends`` holds ``dense_branches`` at the lower end and ``gamma_values``
-    at the upper end, for at least n branches; a sweep passes them to
-    solve each end once per wavenumber.  Without it the ends are solved
-    here.
+    ``ends`` holds ``_bracket_ends`` for at least n branches; a sweep
+    passes them to solve each end once per wavenumber.  Without it the
+    ends are solved here.
 
     Returns a non-converged record with reason ``no-unstable-branch`` when
     the branch is absent (degenerate stratification, or n beyond the
@@ -168,8 +178,7 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         """(f, f', block) at lam, or None when branch n is absent there."""
         nonlocal dense_solves, block_evaluations, block_iterations
         ev = branch_evaluation(
-            assemble_B(mesh, profile, params, k, lam, cache=cache), params,
-            cache, n, block)
+            assemble_B(mesh, profile, params, k, lam, cache=cache), n, block)
         if ev is None:
             return None
         block_evaluations += block is not None
@@ -179,10 +188,7 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
 
     lo, hi = BRACKET_FLOOR * cap, cap
     if ends is None:
-        ends = (dense_branches(assemble_B(mesh, profile, params, k, lo,
-                                          cache=cache), params, cache, n),
-                gamma_values(assemble_B(mesh, profile, params, k, hi,
-                                        cache=cache), n))
+        ends = _bracket_ends(params, k, n, cap, cache)
         dense_solves += 2
     lowers, upper = ends
     if len(lowers) < n or upper.size < n:
@@ -268,12 +274,8 @@ def dispersion(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     records: list[GrowthRecord] = []
     for k in k_values:
         k = float(k)
-        ends = None if cap == 0.0 else (
-            dense_branches(assemble_B(mesh, profile, params, k,
-                                      BRACKET_FLOOR * cap, cache=cache),
-                           params, cache, n_max),
-            gamma_values(assemble_B(mesh, profile, params, k, cap,
-                                    cache=cache), n_max))
+        ends = (None if cap == 0.0
+                else _bracket_ends(params, k, n_max, cap, cache))
         absent = False
         for n in range(1, n_max + 1):
             if absent:
@@ -299,7 +301,6 @@ def refinement_agreement(mesh: Mesh, profile: DensityProfile,
     """
     if not record.converged:
         return math.nan
-    from .discretization import build_mesh
     finer = build_mesh(mesh.a, mesh.n_elements * factor,
                        mesh.quadrature_points)
     refined = solve_lambda_n(finer, profile, params, record.k, record.n,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretization import HermiteFunction, Mesh, build_mesh, tau_decay
+from .discretization import HermiteFunction, Mesh, tau_decay
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import NoUnstableBranchError
 from .growth_solver import GrowthRecord, SolverSettings, solve_lambda_n
@@ -48,14 +48,14 @@ def outer_coefficients(phi_at_a: float, dphi_at_a: float, k: float,
 class HorizontalAmplitude:
     """Horizontal-velocity amplitude w = -k_component phi' / k^2 on x <= 0.
 
-    ``mesh`` covers the sampled depth [-a - domain_factor/k, 0] (rounded
-    up to the interior element width); the closed form itself holds on
-    the whole half line.
+    ``depth`` is that of the sampled interval [-a - domain_factor/k, 0]
+    (rounded up to the interior element width); the closed form itself
+    holds on the whole half line.
     """
 
     phi: Callable
     factor: float
-    mesh: Mesh
+    depth: float
 
     def __call__(self, x, deriv: int = 0):
         """Value (or x-derivative up to order 2) at points x <= 0."""
@@ -76,14 +76,12 @@ def horizontal_velocity(phi: Callable, k_component: float, k: float,
     identically, on the layer and on the tail.  Its slope at the surface
     is k_component * phi(0) because phi''(0) + k^2 phi(0) = 0 holds in the
     trial space.  ``phi`` is the vertical amplitude, called as phi(x, deriv);
-    domain_factor only sets the depth of ``mesh``.
+    domain_factor only sets ``depth``.
     """
     h = interior_mesh.h
     n_out = max(2, math.ceil(domain_factor / (k * h)))
-    ext = build_mesh(interior_mesh.a + n_out * h,
-                     interior_mesh.n_elements + n_out,
-                     quadrature_points=interior_mesh.quadrature_points)
-    return HorizontalAmplitude(phi=phi, factor=-k_component / k**2, mesh=ext)
+    return HorizontalAmplitude(phi=phi, factor=-k_component / k**2,
+                               depth=interior_mesh.a + n_out * h)
 
 
 # -- the assembled mode -------------------------------------------------------
@@ -186,13 +184,7 @@ def build_normal_mode(mesh: Mesh, profile: DensityProfile, params: PhysicalParam
     if len(spectrum) < n:
         raise NoUnstableBranchError(f"branch n={n} absent at lam={lam}")
     coeffs = spectrum.vectors[:, n - 1].copy()
-
-    f = HermiteFunction(mesh, coeffs)
-    sub = np.linspace(0.0, 1.0, 9)
-    pts = (mesh.nodes[:-1, None] + mesh.h * sub[None, :]).ravel()
-    vals = f(pts)
-    peak = np.argmax(np.abs(vals))
-    coeffs /= vals[peak]
+    coeffs /= HermiteFunction(mesh, coeffs).peak()
 
     tau = tau_decay(k, lam, profile.rho_minus, params.mu)
     a1, a2 = outer_coefficients(coeffs[0], coeffs[1], k, tau)
@@ -202,12 +194,10 @@ def build_normal_mode(mesh: Mesh, profile: DensityProfile, params: PhysicalParam
                          profile=profile, params=params, coeffs=coeffs,
                          A1=a1, A2=a2, tau_minus=tau, nu=nu,
                          psi=None, varphi=None, record=record)
-    psi = horizontal_velocity(partial.phi, k1, k, mesh, domain_factor)
-    varphi = horizontal_velocity(partial.phi, k2, k, mesh, domain_factor)
-    return NormalMode(k_vec=(k1, k2), k=k, n=n, lambda_n=lam, mesh=mesh,
-                      profile=profile, params=params, coeffs=coeffs,
-                      A1=a1, A2=a2, tau_minus=tau, nu=nu,
-                      psi=psi, varphi=varphi, record=record)
+    return replace(
+        partial,
+        psi=horizontal_velocity(partial.phi, k1, k, mesh, domain_factor),
+        varphi=horizontal_velocity(partial.phi, k2, k, mesh, domain_factor))
 
 
 @dataclass(frozen=True)
@@ -307,8 +297,7 @@ def mode_table(mode: NormalMode, samples: int = DEFAULT_SAMPLES) -> tuple[dict, 
         "lambda": mode.lambda_n, "A1": mode.A1, "A2": mode.A2,
         "tau_minus": mode.tau_minus, "nu": mode.nu,
     }
-    depth = mode.psi.mesh.a
-    x = np.linspace(-depth, 0.0, samples)
+    x = np.linspace(-mode.psi.depth, 0.0, samples)
     rows = np.column_stack([
         x,
         mode.phi(x),

@@ -10,16 +10,18 @@ deficient wherever drho0 vanishes.
 
 The eigensolves run in the trial space of C1 functions that satisfy the
 surface moment condition phi''(0) + k^2 phi(0) = 0 exactly: the surface
-slope DOF is eliminated by ``surface_moment_row``, so the reduced pencil
-is the leading block of (WMASS, K) plus an update of its last three rows
-and columns (a 3x3 corner for the banded element matrices).  Returned
-eigenvectors are lifted back to the full DOF vector.
+slope DOF is eliminated by ``PencilAssembly.moment_row``, so the reduced
+pencil is the leading block of (WMASS, K) plus an update of its last
+three rows and columns (a 3x3 corner for the banded element matrices).
+Returned eigenvectors are lifted back to the full DOF vector.
 
+Every dense eigensolve of the pencil runs through ``_dense_pairs``.
 ``gamma_values`` and ``gamma_spectrum`` return the eigenvalues of the
-pencil they are given, with relative noise of about eps * cond(K).  The
-root finder reads ``branch_evaluation`` instead: the Rayleigh quotient of
-each eigenvector with both quadratic forms summed as squares at the
-quadrature points, which is free of that noise, and its rate derivative.
+pencil's matrices, with relative noise of about eps * cond(K).  The root
+finder reads ``branch_evaluation`` instead: the Rayleigh quotient of each
+eigenvector with both quadratic forms summed as squares at the quadrature
+points, which is free of that noise, and its rate derivative.  The forms
+are those of the parameters and form cache the pencil carries.
 """
 
 from __future__ import annotations
@@ -68,14 +70,30 @@ _GUARD_VECTORS = 2
 class PencilAssembly:
     """Full operator matrix K and stratification mass Mw at fixed (lam, k).
 
-    ``h`` is the element width, which the surface moment condition needs.
+    ``params`` and ``cache`` are the ones the pencil was assembled from:
+    ``branch_evaluation`` recomputes its Rayleigh quotient from their
+    forms, not from K and Mw.  A pencil whose matrices were replaced (say
+    with ``dataclasses.replace(K=..., Mw=...)``) is therefore for
+    ``gamma_values`` and ``gamma_spectrum`` only.
     """
 
     K: SymForm
     Mw: SymForm
     lam: float
     k: float
-    h: float
+    params: PhysicalParams
+    cache: FormCache
+
+    @property
+    def moment_row(self) -> np.ndarray:
+        """Surface slope d_N in terms of (v_{N-1}, d_{N-1}, v_N).
+
+        On the top element phi''(0) = (6 v_{N-1} - 6 v_N)/h^2 + (2 d_{N-1}
+        + 4 d_N)/h, so phi''(0) + k^2 phi(0) = 0 solves to
+        d_N = -(3/2h) v_{N-1} - d_{N-1}/2 + (3/2h - k^2 h/4) v_N.
+        """
+        h, k = self.cache.mesh.h, self.k
+        return np.array([-1.5 / h, -0.5, 1.5 / h - 0.25 * k * k * h])
 
 
 @dataclass(frozen=True)
@@ -90,7 +108,6 @@ class SpectrumResult:
 
     gammas: np.ndarray
     vectors: np.ndarray
-    n_max: int
     complete: bool
     max_residual: float
 
@@ -176,7 +193,7 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"
         ) from exc
     return PencilAssembly(K=SymForm(kmat, "B"), Mw=cache.wmass, lam=lam, k=k,
-                          h=mesh.h)
+                          params=params, cache=cache)
 
 
 def _lower_band(matrix: np.ndarray) -> np.ndarray:
@@ -185,16 +202,6 @@ def _lower_band(matrix: np.ndarray) -> np.ndarray:
     for d in range(KMAT_BANDWIDTH + 1):
         band[d, :band.shape[1] - d] = np.diagonal(matrix, -d)
     return band
-
-
-def surface_moment_row(h: float, k: float) -> np.ndarray:
-    """Surface slope d_N in terms of (v_{N-1}, d_{N-1}, v_N).
-
-    On the top element phi''(0) = (6 v_{N-1} - 6 v_N)/h^2 + (2 d_{N-1}
-    + 4 d_N)/h, so phi''(0) + k^2 phi(0) = 0 solves to
-    d_N = -(3/2h) v_{N-1} - d_{N-1}/2 + (3/2h - k^2 h/4) v_N.
-    """
-    return np.array([-1.5 / h, -0.5, 1.5 / h - 0.25 * k * k * h])
 
 
 def _constrained(matrix: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -206,11 +213,28 @@ def _constrained(matrix: np.ndarray, row: np.ndarray) -> np.ndarray:
     return reduced
 
 
-def _reduced_pencil(pencil: PencilAssembly):
-    """(Mw, K) on the moment-constrained trial space, and the moment row."""
-    row = surface_moment_row(pencil.h, pencil.k)
-    return (_constrained(pencil.Mw.matrix, row),
-            _constrained(pencil.K.matrix, row), row)
+def _restricted(full: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """T^T y for full DOF vectors y, as a view of y updated in place."""
+    reduced = full[:-1]
+    reduced[-3:] += np.outer(row, full[-1])
+    return reduced
+
+
+def _dense_pairs(pencil: PencilAssembly, count: int | None = None):
+    """Leading ``count`` eigenpairs (all without it) of the pencil on the
+    moment-constrained trial space, by decreasing eigenvalue.
+
+    Returns (values, constrained vectors); ``_lift`` gives full DOF
+    vectors.  This is the one dense eigensolve of (Mw, K).
+    """
+    row = pencil.moment_row
+    mw = _constrained(pencil.Mw.matrix, row)
+    kmat = _constrained(pencil.K.matrix, row)
+    dof = kmat.shape[0]
+    subset = None if count is None else (max(0, dof - count), dof - 1)
+    vals, vecs = sla.eigh(mw, kmat, overwrite_a=True, overwrite_b=True,
+                          check_finite=False, subset_by_index=subset)
+    return vals[::-1], vecs[:, ::-1]
 
 
 def _positive_count(vals: np.ndarray) -> int:
@@ -227,41 +251,34 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    mw, kmat, row = _reduced_pencil(pencil)
-    vals, vecs = sla.eigh(mw, kmat)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    count = min(n_max, _positive_count(vals))
-    gammas, reduced = vals[:count].copy(), vecs[:, :count]
-    if count:
-        res = mw @ reduced - kmat @ reduced * gammas
-        scale = np.maximum(np.linalg.norm(mw @ reduced, axis=0),
-                           gammas * np.linalg.norm(kmat @ reduced, axis=0))
-        max_residual = float((np.linalg.norm(res, axis=0) / scale).max())
-    else:
-        max_residual = 0.0
-    vectors = _lift(reduced, row)
-    return SpectrumResult(gammas=gammas, vectors=vectors, n_max=n_max,
+    vals, vecs = _dense_pairs(pencil)
+    count, row = min(n_max, _positive_count(vals)), pencil.moment_row
+    gammas = vals[:count].copy()
+    vectors = _lift(vecs[:, :count], row)
+    mx = _restricted(pencil.Mw.matrix @ vectors, row)
+    kx = _restricted(pencil.K.matrix @ vectors, row)
+    scale = np.maximum(np.linalg.norm(mx, axis=0),
+                       gammas * np.linalg.norm(kx, axis=0))
+    max_residual = float((np.linalg.norm(mx - kx * gammas, axis=0)
+                          / scale).max(initial=0.0))
+    return SpectrumResult(gammas=gammas, vectors=vectors,
                           complete=count == n_max, max_residual=max_residual)
 
 
 def gamma_values(pencil: PencilAssembly, n_max: int) -> np.ndarray:
-    """Largest n_max eigenvalues only (no vectors), as ``eigh`` returns them.
+    """Largest n_max eigenvalues, as the dense eigensolve returns them.
 
     They carry eps * cond(K) relative noise; ``branch_evaluation`` is the
     accurate evaluation.
     """
-    mw, kmat, _ = _reduced_pencil(pencil)
-    dof = kmat.shape[0]
-    lo = max(0, dof - n_max)
-    vals = sla.eigh(mw, kmat, eigvals_only=True, overwrite_a=True,
-                    overwrite_b=True, subset_by_index=(lo, dof - 1))[::-1]
+    vals = _dense_pairs(pencil, n_max)[0]
     return vals[:_positive_count(vals)]
 
 
-def _rayleigh(pencil: PencilAssembly, params: PhysicalParams,
-              cache: FormCache, vector: np.ndarray) -> tuple[float, float]:
+def _rayleigh(pencil: PencilAssembly,
+              vector: np.ndarray) -> tuple[float, float]:
     """Rayleigh quotient gamma = x^T Mw x / x^T K x of a full DOF vector and
-    its rate derivative, from sums of squares.
+    its rate derivative, from sums of squares of the pencil's forms.
 
     The interior parts of both forms are the quadrature sums that assemble
     them, evaluated as weighted squares of v, v', v''; the endpoint forms
@@ -270,9 +287,8 @@ def _rayleigh(pencil: PencilAssembly, params: PhysicalParams,
     (Lancaster 1964) with K' = WGRAD - (g k^2 rho+ / lam^2) e e^T
     + (d BVA / d tau) rho- / (2 mu tau).
     """
-    profile, mu = cache.profile, params.mu
-    k, lam = pencil.k, pencil.lam
-    k2 = k * k
+    params, cache, k, lam = pencil.params, pencil.cache, pencil.k, pencil.lam
+    profile, mu, k2 = cache.profile, params.mu, k * k
     w, rho, drho = cache.layer
     v, dv, ddv = quadrature_values(cache.mesh, vector)
     wgrad = (w * rho) @ (k2 * v * v + dv * dv)
@@ -297,8 +313,7 @@ def _lift(x: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.concatenate([x, [row @ x[-3:]]])
 
 
-def _subspace_iteration(pencil: PencilAssembly, row: np.ndarray, n: int,
-                        block: np.ndarray):
+def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     """Ritz pairs of the reduced pencil from ``block`` by K^-1 Mw iteration.
 
     The block's first n + _GUARD_VECTORS columns start it.  Each iteration
@@ -310,7 +325,7 @@ def _subspace_iteration(pencil: PencilAssembly, row: np.ndarray, n: int,
     residual is at most _BLOCK_RTOL, or None after _BLOCK_MAX_ITERATIONS
     or when the block loses rank.
     """
-    kmat, mw = pencil.K.matrix, pencil.Mw.matrix
+    kmat, mw, row = pencil.K.matrix, pencil.Mw.matrix, pencil.moment_row
     # Only the last 3x3 corner of the banded K changes under T^T K T.
     band = _lower_band(kmat[:-1, :-1])
     corner_map = np.vstack([np.eye(3), row])
@@ -319,10 +334,7 @@ def _subspace_iteration(pencil: PencilAssembly, row: np.ndarray, n: int,
         band[d, band.shape[1] - 3:band.shape[1] - d] = np.diagonal(corner, -d)
 
     def apply_mw(x):
-        full = mw @ _lift(x, row)
-        reduced = full[:-1]
-        reduced[-3:] += np.outer(row, full[-1])
-        return reduced
+        return _restricted(mw @ _lift(x, row), row)
 
     try:
         factor = sla.cholesky_banded(band, overwrite_ab=True, lower=True,
@@ -343,21 +355,19 @@ def _subspace_iteration(pencil: PencilAssembly, row: np.ndarray, n: int,
     return None
 
 
-def _evaluation(pencil: PencilAssembly, params: PhysicalParams,
-                cache: FormCache, row: np.ndarray, n: int, vals: np.ndarray,
-                vecs: np.ndarray, iterations: int,
-                dense: bool) -> BranchEvaluation | None:
-    """Branch n of decreasing eigen- or Ritz pairs, or None if it is absent."""
+def _evaluation(pencil: PencilAssembly, n: int, vals: np.ndarray,
+                vecs: np.ndarray, iterations: int = 0) -> BranchEvaluation | None:
+    """Branch n of decreasing eigen- or Ritz pairs (dense ones without
+    ``iterations``), or None if it is absent."""
     if _positive_count(vals) < n:
         return None
-    gamma, slope = _rayleigh(pencil, params, cache, _lift(vecs[:, n - 1], row))
+    gamma, slope = _rayleigh(pencil, _lift(vecs[:, n - 1], pencil.moment_row))
     return BranchEvaluation(gamma=gamma, slope=slope,
                             block=vecs[:, :n + _GUARD_VECTORS],
-                            iterations=iterations, dense=dense)
+                            iterations=iterations, dense=iterations == 0)
 
 
-def branch_evaluation(pencil: PencilAssembly, params: PhysicalParams,
-                      cache: FormCache, n: int,
+def branch_evaluation(pencil: PencilAssembly, n: int,
                       block: np.ndarray | None = None
                       ) -> BranchEvaluation | None:
     """Accurate gamma_n and its rate derivative at one pencil.
@@ -366,28 +376,18 @@ def branch_evaluation(pencil: PencilAssembly, params: PhysicalParams,
     eigensolve.  With it (a previous evaluation's block) they come from
     warm subspace iteration; when that does not converge, a dense subset
     eigensolve of n + _GUARD_VECTORS vectors gives the block the next
-    evaluation starts from.  None when branch n is absent.  ``params`` and
-    ``cache`` must be the ones the pencil was assembled from: the quotient
-    is recomputed from the forms, not the matrices.
+    evaluation starts from.  None when branch n is absent.  The quotient
+    reads the pencil's forms, not its matrices (see ``PencilAssembly``).
     """
-    row = surface_moment_row(pencil.h, pencil.k)
     if block is not None:
-        found = _subspace_iteration(pencil, row, n, block)
+        found = _subspace_iteration(pencil, n, block)
         if found is not None:
-            return _evaluation(pencil, params, cache, row, n, *found,
-                               dense=False)
-    mw, kmat, row = _reduced_pencil(pencil)
-    dof = kmat.shape[0]
+            return _evaluation(pencil, n, *found)
     count = n if block is None else n + _GUARD_VECTORS
-    vals, vecs = sla.eigh(mw, kmat, overwrite_a=True, overwrite_b=True,
-                          check_finite=False,
-                          subset_by_index=(max(0, dof - count), dof - 1))
-    return _evaluation(pencil, params, cache, row, n, vals[::-1],
-                       vecs[:, ::-1], 0, dense=True)
+    return _evaluation(pencil, n, *_dense_pairs(pencil, count))
 
 
-def dense_branches(pencil: PencilAssembly, params: PhysicalParams,
-                   cache: FormCache, n: int) -> list[BranchEvaluation]:
+def dense_branches(pencil: PencilAssembly, n: int) -> list[BranchEvaluation]:
     """``branch_evaluation`` of branches 1..n from one full dense
     eigendecomposition; fewer where the positive spectrum ends.
 
@@ -396,11 +396,8 @@ def dense_branches(pencil: PencilAssembly, params: PhysicalParams,
     shares one lower bracket end among n branches starts each branch
     exactly where a single solve would.
     """
-    mw, kmat, row = _reduced_pencil(pencil)
-    vals, vecs = sla.eigh(mw, kmat, overwrite_a=True, overwrite_b=True,
-                          check_finite=False)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    return [_evaluation(pencil, params, cache, row, m, vals, vecs, 0, True)
+    vals, vecs = _dense_pairs(pencil)
+    return [_evaluation(pencil, m, vals, vecs)
             for m in range(1, min(n, _positive_count(vals)) + 1)]
 
 
@@ -427,8 +424,7 @@ def coercivity_ratio(mesh: Mesh, profile: DensityProfile, params: PhysicalParams
     rate and in the stratification shape.
     """
     pencil = assemble_B(mesh, profile, params, k, lam, cache=cache)
-    h2 = (cache.interior(k)[0] if cache is not None
-          else assemble_h2_form(mesh, k))
+    h2 = pencil.cache.interior(k)[0]
     vals = sla.eigh(pencil.K.matrix / params.mu, h2.matrix,
                     eigvals_only=True, subset_by_index=(0, 0))
     return float(vals[0])

@@ -231,11 +231,9 @@ def fixed_point_residual(mesh: Mesh, profile: DensityProfile,
     if not record.converged:
         return CheckReport.make("fixed-point", 0.0, FIXED_POINT_RTOL,
                                 vacuous=True, k=record.k, n=record.n)
-    if cache is None:
-        cache = FormCache(mesh, profile)
     pencil = assemble_B(mesh, profile, params, record.k, record.lambda_n,
                         cache=cache)
-    ev = branch_evaluation(pencil, params, cache, record.n)
+    ev = branch_evaluation(pencil, record.n)
     gk2 = params.g * record.k**2
     res = (math.inf if ev is None
            else abs(gk2 * ev.gamma - record.lambda_n) / record.lambda_n)

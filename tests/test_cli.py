@@ -1,13 +1,16 @@
+import contextlib
 import ctypes
+import io
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rtspec as rt
-from rtspec import _threads
+from rtspec import _threads, cli
 from rtspec.cli import CSV_HEADER, main
 from rtspec.config import load_config
 from rtspec.errors import ConfigError
@@ -268,6 +271,18 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_only_scipy_linalg():
+    # a new scipy subpackage adds to every command's start-up time
+    src = os.path.dirname(os.path.dirname(rt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, rtspec.cli; print(sorted({m.split('.')[1] for m "
+             "in sys.modules if m.startswith('scipy.') "
+             "and not m.split('.')[1].startswith('_')}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['linalg', 'version']"
+
+
 def test_growth_cap_and_sweep_leave_scipy_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(rt.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -316,3 +331,120 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Inputs that once ended in a traceback and exit code 1: (config file
+# contents, or a path kind for --config, and the command line).
+_BAD_INPUTS = {
+    "negative-seed": (b"seed = -1\n", ["verify", "--suite", "inequality"]),
+    "missing-config": ("missing", ["lambda-max"]),
+    "config-is-directory": ("directory", ["lambda-max"]),
+    "config-not-utf8": (b"\xff\xfeseed = 1\n", ["lambda-max"]),
+    "infinite-k-range": (None, ["dispersion", "--k-min", "inf", "--k-max",
+                                "inf", "--n-k", "1", "--out", "{tmp}/x.csv"]),
+    "mode-n-zero": (None, ["mode", "--k1", "1", "--k2", "0", "--n", "0",
+                           "--out", "{tmp}/x.csv"]),
+    "mode-k-nan": (None, ["mode", "--k1", "nan", "--k2", "0",
+                          "--out", "{tmp}/x.csv"]),
+    "dispersion-out-dir-missing": (
+        None, ["dispersion", "--k-min", "1", "--k-max", "1", "--n-k", "1",
+               "--out", "{tmp}/missing/x.csv"]),
+    "lambda-max-out-dir-missing": (
+        None, ["lambda-max", "--out", "{tmp}/missing/x.csv"]),
+    "mode-out-dir-missing": (None, ["mode", "--k1", "1", "--k2", "0",
+                                    "--out", "{tmp}/missing/x.csv"]),
+    "verify-out-dir-missing": (None, ["verify", "--suite", "appendixD",
+                                      "--out", "{tmp}/missing/x.txt"]),
+    "out-is-directory": (None, ["verify", "--suite", "appendixD",
+                                "--out", "{tmp}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, case):
+    config, argv = _BAD_INPUTS[case]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        if config == "directory":
+            path.mkdir()
+        elif config != "missing":
+            path.write_bytes(config)
+        argv += ["--config", str(path)]
+    if case.endswith("out-dir-missing"):
+        # a bad output path is rejected before any computation
+        for name in ("dispersion", "lambda_max", "build_normal_mode",
+                     "run_suite"):
+            monkeypatch.setattr(cli, name, None)
+    code, _, err = _run(argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+_BAD_VALUES = ("0", "-1", "-2.5", "inf", "-inf", "nan", "many", "1e", "")
+_KEYS = ("profile.kind", "profile.rho_minus", "profile.rho_plus", "profile.a",
+         "params.mu", "params.g", "mesh.quadrature_points", "solver.tol_rel",
+         "solver.max_iter", "solver.n_max", "lattice.L1", "lattice.L2",
+         "lattice.Kmax", "modes.samples", "modes.domain_factor", "seed")
+
+
+def _mostly(valid, bad):
+    """One of ``valid`` four times as often as one of ``bad``."""
+    return st.sampled_from(tuple(valid) * 4 + tuple(bad))
+
+
+_config_texts = st.builds(
+    lambda n_elements, extra: "".join(
+        [f"mesh.n_elements = {n_elements}\nlattice.Kmax = 1.5\n"]
+        + [f"{key} = {value}\n" for key, value in extra]),
+    _mostly([str(n) for n in range(1, 17)], _BAD_VALUES),
+    st.lists(st.tuples(st.sampled_from(_KEYS + ("mesh.n_element", "solver.x")),
+                       _mostly(("1", "2"), _BAD_VALUES)), max_size=2))
+_k_values = _mostly(("0.5", "1", "2"), ("0", "-1", "inf", "nan", "abc"))
+_outputs = _mostly(("file",), ("missing-dir", "directory"))
+_command_lines = st.one_of(
+    st.builds(lambda k_min, k_max, n_k, n_max, out:
+              ["dispersion", "--k-min", k_min, "--k-max", k_max, "--n-k", n_k]
+              + ([] if n_max is None else ["--n-max", n_max]) + [out],
+              _k_values, _k_values, _mostly(("1", "2", "3"), ("0", "-1")),
+              _mostly((None, "1", "3"), ("0", "-2")), _outputs),
+    st.builds(lambda k1, k2, n, out:
+              ["mode", "--k1", k1, "--k2", k2, "--n", n, out],
+              _k_values, _k_values, _mostly(("1", "2"), ("0", "-1")), _outputs),
+    st.builds(lambda command, out: command + ([] if out is None else [out]),
+              st.sampled_from((["lambda-max"],
+                               ["verify", "--suite", "appendixD"])),
+              _mostly((None, "file"), ("missing-dir", "directory"))))
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(config=_config_texts, argv=_command_lines)
+def test_cli_exit_codes_on_drawn_input(cli_dir, config, argv):
+    # every outcome is a documented exit code; 1 means a failed check
+    (cli_dir / "run.cfg").write_text(config)
+    outputs = {"file": cli_dir / "out.txt", "missing-dir": cli_dir / "no" / "x",
+               "directory": cli_dir}
+    if argv[-1] in outputs:
+        argv = argv[:-1] + ["--out", str(outputs[argv[-1]])]
+    argv += ["--config", str(cli_dir / "run.cfg")]
+    try:
+        code, out, _ = _run(argv)
+    except SystemExit as exc:
+        assert exc.code == 2  # argparse: a value that does not parse
+        return
+    assert code in (0, 1, 2, 3, 4)
+    if code == 1:
+        assert argv[0] == "verify" and "FAIL" in out

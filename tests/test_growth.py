@@ -112,7 +112,7 @@ def test_unreachable_tolerance_stops_at_max_iter(profile, params, mesh64):
 def _solve_synthetic(monkeypatch, mesh, profile, params, defect, slope):
     # f(lam) = defect(lam) on the rate interval (0, 1]: gamma_1 = lam + defect,
     # with f'(lam) = slope(lam)
-    def evaluation(lam, params_, cache, n, block=None):
+    def evaluation(lam, n, block=None):
         return BranchEvaluation(gamma=lam + defect(lam), slope=1.0 + slope(lam),
                                 block=np.zeros((1, 1)), iterations=0,
                                 dense=block is None)
@@ -305,7 +305,7 @@ def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
     k_values = np.geomspace(0.25, 4.0, 5)
     records = rt.dispersion(mesh64, profile, params, k_values, 4)
     assert all(rec.converged for rec in records)
-    warm = [args for args in calls["branch_evaluation"] if args[4] is not None]
+    warm = [args for args in calls["branch_evaluation"] if args[2] is not None]
     dense = (len(calls["gamma_values"]) + len(calls["dense_branches"])
              + len(calls["branch_evaluation"]) - len(warm))
     # two bracket ends per k, and one certificate per record
@@ -344,7 +344,7 @@ def test_fixed_point_function_is_smooth_near_the_root(profile, params, k,
     ratio = []
     for lam in root * (1.0 + 1e-8 * offsets):
         pencil = rt.assemble_B(mesh, profile, params, k, lam, cache=cache)
-        gamma = branch_evaluation(pencil, params, cache, 1).gamma
+        gamma = branch_evaluation(pencil, 1).gamma
         ratio.append(params.g * k * k * gamma / lam - 1.0)
     fit = np.polyval(np.polyfit(offsets, ratio, 1), offsets)
     assert np.abs(np.array(ratio) - fit).max() <= 1e-12
@@ -369,13 +369,12 @@ def test_warm_and_dense_evaluations_agree(profile, params, mesh64):
     cache = rt.FormCache(mesh64, profile)
     k = 1.0
     start = dense_branches(rt.assemble_B(mesh64, profile, params, k, 0.05,
-                                         cache=cache), params, cache, 4)
+                                         cache=cache), 4)
     for lam in (0.06, 0.09, 0.12):
         pencil = rt.assemble_B(mesh64, profile, params, k, lam, cache=cache)
         for n in (1, 2, 3, 4):
-            warm = branch_evaluation(pencil, params, cache, n,
-                                     start[n - 1].block)
-            dense = branch_evaluation(pencil, params, cache, n)
+            warm = branch_evaluation(pencil, n, start[n - 1].block)
+            dense = branch_evaluation(pencil, n)
             assert not warm.dense and warm.iterations >= 1
             assert dense.dense and dense.iterations == 0
             assert abs(warm.gamma - dense.gamma) <= 1e-12 * dense.gamma

@@ -43,7 +43,7 @@ def test_mode_basic_closures(mode64):
     assert mode.k * mode.A1 + mode.tau_minus * mode.A2 == pytest.approx(
         mode.coeffs[1], abs=1e-12)
     # normalization
-    assert mode.interior.max_abs() == pytest.approx(1.0, rel=1e-12)
+    assert abs(mode.interior.peak()) == pytest.approx(1.0, rel=1e-12)
     # density amplitude vanishes outside the layer, matches the closure inside
     x_out = np.array([-1.5, -3.0, -8.0])
     assert np.abs(mode.omega(x_out)).max() == 0.0
@@ -193,8 +193,8 @@ def test_evaluate_field(mode64):
 
 def test_field_below_sampled_depth_uses_closed_form(mode64):
     # the horizontal amplitudes are -k_c phi'/k^2 on the whole half line,
-    # also below the sampled depth of psi.mesh
-    lo = -mode64.psi.mesh.a
+    # also below the sampled depth of psi
+    lo = -mode64.psi.depth
     k1 = mode64.k_vec[0]
     for x3 in (lo - 1.0, lo - 5.0):
         sample = rt.evaluate_field(mode64, 0.0, (0.2, 0.0, x3))
@@ -207,7 +207,7 @@ def test_mode_table_format(mode64):
     assert set(header) == {"k1", "k2", "n", "lambda", "A1", "A2",
                            "tau_minus", "nu"}
     assert rows.shape == (100, len(MODE_COLUMNS))
-    assert rows[0, 0] == -mode64.psi.mesh.a
+    assert rows[0, 0] == -mode64.psi.depth
     assert rows[-1, 0] == 0.0
 
 

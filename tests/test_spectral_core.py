@@ -104,9 +104,9 @@ def test_branch_evaluation_against_dense_pencil(profile, params, mesh64, k):
 
     def evaluation(lam):
         pencil = rt.assemble_B(mesh64, profile, params, k, lam, cache=cache)
-        branches = dense_branches(pencil, params, cache, 4)
+        branches = dense_branches(pencil, 4)
         gammas = np.array([ev.gamma for ev in branches])
-        subset = [branch_evaluation(pencil, params, cache, n).gamma
+        subset = [branch_evaluation(pencil, n).gamma
                   for n in (1, 2, 3, 4)]
         assert np.allclose(subset, gammas, rtol=1e-12)
         return (rt.gamma_values(pencil, 4), gammas,
@@ -127,9 +127,8 @@ def test_gamma_spectrum_empty_for_degenerate(degenerate_profile, params,
     spec = rt.gamma_spectrum(pencil, 3)
     assert len(spec) == 0
     assert not spec.complete
-    cache = rt.FormCache(mesh64, degenerate_profile)
-    assert dense_branches(pencil, params, cache, 3) == []
-    assert branch_evaluation(pencil, params, cache, 1) is None
+    assert dense_branches(pencil, 3) == []
+    assert branch_evaluation(pencil, 1) is None
 
 
 def test_gamma_scales_linearly_with_mass(profile, params, mesh64):
