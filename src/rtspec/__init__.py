@@ -7,7 +7,7 @@ a numerical verification suite for the identities the solver relies on.
 """
 
 from .equilibria import DensityProfile, PhysicalParams, char_length
-from .discretization import Mesh, SymForm, build_mesh, HermiteFunction
+from .discretization import Mesh, build_mesh, HermiteFunction
 from .spectral_core import (
     FormCache,
     PencilAssembly,
@@ -63,7 +63,7 @@ from .errors import (
 
 __all__ = [
     "DensityProfile", "PhysicalParams", "char_length",
-    "Mesh", "SymForm", "build_mesh", "HermiteFunction",
+    "Mesh", "build_mesh", "HermiteFunction",
     "FormCache", "PencilAssembly", "SpectrumResult",
     "assemble_B", "boundary_quotient_spectrum", "coercivity_bound",
     "coercivity_ratio", "gamma_spectrum", "gamma_values",

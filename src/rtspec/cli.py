@@ -21,7 +21,6 @@ from .equilibria import char_length
 from .errors import CoercivityError, ConfigError, NoUnstableBranchError, NumericalError
 from .growth_solver import NO_UNSTABLE_BRANCH, GrowthRecord, dispersion, lambda_max
 from .modes import MODE_COLUMNS, build_normal_mode, mode_table
-from .spectral_core import FormCache
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -30,6 +29,10 @@ EXIT_NO_UNSTABLE = 3
 EXIT_NUMERICAL = 4
 
 CSV_HEADER = "k,n,lambda_n,residual,iterations,converged"
+
+# Largest accepted k * a: far beyond what any mesh resolves, and small
+# enough that the k^4 terms of the forms stay finite.
+MAX_KA = 1e30
 
 
 def _fmt(x: float) -> str:
@@ -50,14 +53,14 @@ def _record_row(r: GrowthRecord) -> str:
 
 
 def cmd_dispersion(config: RunConfig, args) -> int:
-    if not 0 < args.k_min <= args.k_max < math.inf:
-        raise ConfigError("require 0 < k-min <= k-max < inf")
+    mesh, profile, params = config.mesh(), config.profile(), config.params()
+    if not 0 < args.k_min <= args.k_max <= MAX_KA / mesh.a:
+        raise ConfigError(f"require 0 < k-min <= k-max <= {MAX_KA:g} / profile.a")
     if args.n_k < 1:
         raise ConfigError("n-k must be at least 1")
     n_max = args.n_max if args.n_max is not None else config["solver.n_max"]
     if n_max < 1:
         raise ConfigError("n-max must be at least 1")
-    mesh, profile, params = config.mesh(), config.profile(), config.params()
     settings = config.solver_settings()
     ks = np.geomspace(args.k_min, args.k_max, args.n_k)
     records = dispersion(mesh, profile, params, ks, n_max, settings)
@@ -102,16 +105,18 @@ def cmd_mode(config: RunConfig, args) -> int:
     if args.n < 1:
         raise ConfigError("n must be at least 1")
     for label, value, period in (("k1", args.k1, L1), ("k2", args.k2, L2)):
-        steps = value * period
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
-            snapped = round(steps)
-            if snapped == 0 and value != 0.0:
-                snapped = int(math.copysign(1.0, steps))
+        # a nonzero value is never lattice point 0, however close to it
+        steps, snapped = value * period, round(value * period)
+        if snapped == 0 and value != 0.0:
+            snapped = int(math.copysign(1.0, steps))
+        if abs(steps - snapped) > 1e-9 * max(1.0, abs(steps)):
             raise ConfigError(
                 f"{label}={value:g} is off the lattice (spacing "
                 f"{1.0 / period:g}); nearest lattice value is "
                 f"{snapped / period:g}")
     mesh, profile, params = config.mesh(), config.profile(), config.params()
+    if not math.hypot(args.k1, args.k2) * mesh.a <= MAX_KA:
+        raise ConfigError(f"require |k| <= {MAX_KA:g} / profile.a")
     mode = build_normal_mode(mesh, profile, params, (args.k1, args.k2), args.n,
                              config.solver_settings(),
                              domain_factor=config["modes.domain_factor"])

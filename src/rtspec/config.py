@@ -16,26 +16,7 @@ from .equilibria import DensityProfile, PhysicalParams
 from .errors import ConfigError
 from .growth_solver import SolverSettings
 
-_SCHEMA: dict[str, type] = {
-    "profile.kind": str,
-    "profile.rho_minus": float,
-    "profile.rho_plus": float,
-    "profile.a": float,
-    "params.mu": float,
-    "params.g": float,
-    "mesh.n_elements": int,
-    "mesh.quadrature_points": int,
-    "solver.tol_rel": float,
-    "solver.max_iter": int,
-    "solver.n_max": int,
-    "lattice.L1": float,
-    "lattice.L2": float,
-    "lattice.Kmax": float,
-    "modes.samples": int,
-    "modes.domain_factor": float,
-    "seed": int,
-}
-
+# Every key with its default; a key's type is that of its default.
 _DEFAULTS: dict[str, object] = {
     "profile.kind": "bump",
     "profile.rho_minus": 1.0,
@@ -100,21 +81,17 @@ class RunConfig:
 
 
 def _coerce(key: str, raw: str):
-    kind = _SCHEMA[key]
+    kind = type(_DEFAULTS[key])
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as "
                           f"{kind.__name__}") from exc
 
 
 def _validate(table: dict[str, object]) -> None:
-    for key, kind in _SCHEMA.items():
-        value = table[key]
+    for key, default in _DEFAULTS.items():
+        value, kind = table[key], type(default)
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"config key {key!r} must be finite, got {value}")
         if key == "seed" and value < 0:
@@ -140,15 +117,15 @@ def load_config(path: str | Path | None = None,
                 raise ConfigError(
                     f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _SCHEMA:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             table[key] = _coerce(key, raw)
     for key, value in (overrides or {}).items():
-        if key not in _SCHEMA:
+        if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         table[key] = value
     _validate(table)
-    config = RunConfig(values=tuple((k, table[k]) for k in _SCHEMA))
+    config = RunConfig(values=tuple((k, table[k]) for k in _DEFAULTS))
     config.profile()
     config.params()
     config.solver_settings()

@@ -1,13 +1,13 @@
 """C1 finite elements on (-a, 0): mesh, cubic Hermite basis, assembly.
 
-Every symmetric form the stability operator needs lives here: the H2
-energy form, the density-weighted gradient and mass forms, the two
-boundary forms (surface and matching depth), and the endpoint quotient
-form whose pencil eigenvalues have closed-form values.
+Every symmetric form the stability operator needs lives here as a plain
+array: the H2 energy form and the density-weighted gradient and mass forms
+as N x N matrices; the two boundary forms (surface and matching depth)
+and the endpoint quotient form, whose pencil eigenvalues have closed-form
+values, as 4x4 blocks on the endpoint DOFs.
 
-Degrees of freedom are interleaved (value, slope) per node, so the four
-endpoint DOFs that all boundary terms touch are rows/columns
-0, 1 (at x = -a) and -2, -1 (at x = 0).
+Degrees of freedom are interleaved (value, slope) per node, so those are
+``ENDPOINT_DOFS``: value and slope at x = -a, then at x = 0.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .equilibria import DensityProfile, PhysicalParams
 from .errors import ConfigError
 
 DEFAULT_QUADRATURE_POINTS = 10
+
+# Global DOFs of (value, slope) at x = -a and (value, slope) at x = 0.
+ENDPOINT_DOFS = [0, 1, -2, -1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,22 +74,6 @@ class Mesh:
     def dof_count(self) -> int:
         return 2 * (self.n_elements + 1)
 
-    @property
-    def left_value_dof(self) -> int:
-        return 0
-
-    @property
-    def left_slope_dof(self) -> int:
-        return 1
-
-    @property
-    def right_value_dof(self) -> int:
-        return self.dof_count - 2
-
-    @property
-    def right_slope_dof(self) -> int:
-        return self.dof_count - 1
-
 
 def build_mesh(a: float, n_elements: int,
                quadrature_points: int = DEFAULT_QUADRATURE_POINTS) -> Mesh:
@@ -97,20 +84,10 @@ def build_mesh(a: float, n_elements: int,
         raise ConfigError("mesh.n_elements must be at least 2")
     if quadrature_points < 4:
         raise ConfigError("mesh.quadrature_points must be at least 4")
+    if not 1e-30 <= a / n_elements <= 1e30:
+        # the basis scales with h^3 and h^-3, the forms with k^4 h as well
+        raise ConfigError("element width a / n_elements must lie in [1e-30, 1e30]")
     return Mesh(a=a, n_elements=n_elements, quadrature_points=quadrature_points)
-
-
-@dataclass(frozen=True)
-class SymForm:
-    """Symmetric matrix of a bilinear form in the Hermite basis."""
-
-    matrix: np.ndarray
-    tag: str
-
-    def __call__(self, v: np.ndarray, w: np.ndarray | None = None) -> float:
-        if w is None:
-            w = v
-        return float(v @ self.matrix @ w)
 
 
 # -- Hermite shape functions ------------------------------------------------
@@ -202,26 +179,26 @@ def _interior_form(mesh: Mesh, coeffs: dict[int, np.ndarray | float]) -> np.ndar
 
 # -- assembled forms ---------------------------------------------------------
 
-def assemble_h2_form(mesh: Mesh, k: float) -> SymForm:
+def assemble_h2_form(mesh: Mesh, k: float) -> np.ndarray:
     """Matrix of integral(v'' w'' + 2 k^2 v' w' + k^4 v w); positive definite."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
-    return SymForm(_interior_form(mesh, {2: 1.0, 1: 2.0 * k**2, 0: k**4}), "H2")
+    return _interior_form(mesh, {2: 1.0, 1: 2.0 * k**2, 0: k**4})
 
 
 def assemble_weighted_gradient_form(mesh: Mesh, profile: DensityProfile,
-                                    k: float) -> SymForm:
+                                    k: float) -> np.ndarray:
     """Matrix of integral rho0 (k^2 v w + v' w'); positive definite."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
     rho = profile.rho0(quadrature(mesh)[0])
-    return SymForm(_interior_form(mesh, {0: k**2 * rho, 1: rho}), "WGRAD")
+    return _interior_form(mesh, {0: k**2 * rho, 1: rho})
 
 
-def assemble_weighted_mass(mesh: Mesh, profile: DensityProfile) -> SymForm:
+def assemble_weighted_mass(mesh: Mesh, profile: DensityProfile) -> np.ndarray:
     """Matrix of integral drho0 v w; positive semidefinite."""
     drho = profile.drho0(quadrature(mesh)[0])
-    return SymForm(_interior_form(mesh, {0: drho}), "WMASS")
+    return _interior_form(mesh, {0: drho})
 
 
 def tau_decay(k: float, lam: float, rho_minus: float, mu: float) -> float:
@@ -229,49 +206,38 @@ def tau_decay(k: float, lam: float, rho_minus: float, mu: float) -> float:
     return float(np.sqrt(k**2 + lam * rho_minus / mu))
 
 
-def assemble_boundary_forms(mesh: Mesh, k: float, lam: float,
-                            params: PhysicalParams,
-                            profile: DensityProfile) -> tuple[SymForm, SymForm]:
-    """Rank <= 4 endpoint forms (surface form BV0, matching-depth form BVA)."""
+def assemble_boundary_forms(k: float, lam: float, params: PhysicalParams,
+                            profile: DensityProfile
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Surface form BV0 and matching-depth form BVA, each of rank <= 2, as
+    4x4 blocks on ``ENDPOINT_DOFS`` (they vanish off those DOFs)."""
     if not lam > 0.0:
         raise ValueError("rate lam must be strictly positive")
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
     mu, g = params.mu, params.g
     tau = tau_decay(k, lam, profile.rho_minus, mu)
-    n = mesh.dof_count
-    v0, d0 = mesh.right_value_dof, mesh.right_slope_dof
-    va, da = mesh.left_value_dof, mesh.left_slope_dof
+    # block rows and columns: (value, slope) at -a, then (value, slope) at 0
+    bv0 = np.zeros((4, 4))
+    bv0[3, 2] = bv0[2, 3] = mu * k**2
+    bv0[2, 2] = g * k**2 * profile.rho_plus / lam
 
-    bv0 = np.zeros((n, n))
-    bv0[d0, v0] += mu * k**2
-    bv0[v0, d0] += mu * k**2
-    bv0[v0, v0] += g * k**2 * profile.rho_plus / lam
-
-    bva = np.zeros((n, n))
-    bva[va, va] += mu * k * tau * (k + tau)
-    bva[da, va] += -mu * k * tau
-    bva[va, da] += -mu * k * tau
-    bva[da, da] += mu * (k + tau)
-    return SymForm(bv0, "BV0"), SymForm(bva, "BVA")
+    bva = np.zeros((4, 4))
+    bva[0, 0] = mu * k * tau * (k + tau)
+    bva[1, 0] = bva[0, 1] = -mu * k * tau
+    bva[1, 1] = mu * (k + tau)
+    return bv0, bva
 
 
-def boundary_quotient_form(mesh: Mesh, k: float) -> SymForm:
-    """Endpoint quotient numerator: k^2 (v'w + vw')(0) - k^2 (v'w + vw')(-a).
-
-    Rank exactly 4: touches only the four endpoint DOFs.
-    """
+def boundary_quotient_form(k: float) -> np.ndarray:
+    """Endpoint quotient numerator k^2 (v'w + vw')(0) - k^2 (v'w + vw')(-a),
+    as a 4x4 block of rank exactly 4 on ``ENDPOINT_DOFS``."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
-    n = mesh.dof_count
-    q = np.zeros((n, n))
-    v0, d0 = mesh.right_value_dof, mesh.right_slope_dof
-    va, da = mesh.left_value_dof, mesh.left_slope_dof
-    q[d0, v0] += k**2
-    q[v0, d0] += k**2
-    q[da, va] -= k**2
-    q[va, da] -= k**2
-    return SymForm(q, "BDRYQ")
+    q = np.zeros((4, 4))
+    q[3, 2] = q[2, 3] = k**2
+    q[1, 0] = q[0, 1] = -k**2
+    return q
 
 
 # -- coefficient-vector evaluation -------------------------------------------

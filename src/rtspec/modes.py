@@ -19,7 +19,7 @@ import numpy as np
 
 from .discretization import HermiteFunction, Mesh, tau_decay
 from .equilibria import DensityProfile, PhysicalParams
-from .errors import NoUnstableBranchError
+from .errors import NoUnstableBranchError, NumericalError
 from .growth_solver import GrowthRecord, SolverSettings, solve_lambda_n
 from .spectral_core import FormCache, assemble_B, gamma_spectrum
 
@@ -187,6 +187,8 @@ def build_normal_mode(mesh: Mesh, profile: DensityProfile, params: PhysicalParam
     coeffs /= HermiteFunction(mesh, coeffs).peak()
 
     tau = tau_decay(k, lam, profile.rho_minus, params.mu)
+    if not tau > k:
+        raise NumericalError(f"outer decay rate tau rounds to k={k} at lam={lam}")
     a1, a2 = outer_coefficients(coeffs[0], coeffs[1], k, tau)
     nu = coeffs[-2] / lam
 

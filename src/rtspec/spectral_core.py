@@ -34,8 +34,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .discretization import (
+    ENDPOINT_DOFS,
     Mesh,
-    SymForm,
     assemble_boundary_forms,
     assemble_h2_form,
     assemble_weighted_gradient_form,
@@ -47,6 +47,8 @@ from .discretization import (
 )
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import CoercivityError
+
+_ENDPOINT_BLOCK = np.ix_(ENDPOINT_DOFS, ENDPOINT_DOFS)
 
 # Eigenvalues at or below this fraction of the largest one are treated as
 # the rank-deficient zero block of WMASS.
@@ -68,7 +70,7 @@ _GUARD_VECTORS = 2
 
 @dataclass(frozen=True)
 class PencilAssembly:
-    """Full operator matrix K and stratification mass Mw at fixed (lam, k).
+    """Operator matrix K and stratification mass Mw at fixed (lam, k): N x N arrays.
 
     ``params`` and ``cache`` are the ones the pencil was assembled from:
     ``branch_evaluation`` recomputes its Rayleigh quotient from their
@@ -77,8 +79,8 @@ class PencilAssembly:
     ``gamma_values`` and ``gamma_spectrum`` only.
     """
 
-    K: SymForm
-    Mw: SymForm
+    K: np.ndarray
+    Mw: np.ndarray
     lam: float
     k: float
     params: PhysicalParams
@@ -150,10 +152,10 @@ class FormCache:
     def __init__(self, mesh: Mesh, profile: DensityProfile):
         self.mesh = mesh
         self.profile = profile
-        self._by_k: dict[float, tuple[SymForm, SymForm]] = {}
+        self._by_k: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
-    def wmass(self) -> SymForm:
+    def wmass(self) -> np.ndarray:
         return assemble_weighted_mass(self.mesh, self.profile)
 
     @cached_property
@@ -163,7 +165,7 @@ class FormCache:
         x = pts.ravel()
         return wts.ravel(), self.profile.rho0(x), self.profile.drho0(x)
 
-    def interior(self, k: float) -> tuple[SymForm, SymForm]:
+    def interior(self, k: float) -> tuple[np.ndarray, np.ndarray]:
         if k not in self._by_k:
             self._by_k = {k: (assemble_h2_form(self.mesh, k),
                               assemble_weighted_gradient_form(self.mesh, self.profile, k))}
@@ -174,17 +176,20 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                k: float, lam: float, cache: FormCache | None = None) -> PencilAssembly:
     """Assemble the SPD operator K and mass Mw; Cholesky-checks K.
 
-    K is exactly symmetric: the interior forms are symmetrized on scatter
-    and the boundary forms are symmetric by construction.  The banded
-    Cholesky of K's lower band is the only definiteness check of the full
-    K: ``eigh`` factors the moment-constrained K, and ``coercivity_ratio``
-    factors H2.
+    K is ``lam * WGRAD + mu * H2`` plus the endpoint blocks BV0 and then
+    BVA, added at ``ENDPOINT_DOFS``.  It is exactly symmetric: the interior
+    forms are symmetrized on scatter and the endpoint blocks are symmetric
+    by construction.  The banded Cholesky of K's lower band is the only
+    definiteness check of the full K: ``eigh`` factors the
+    moment-constrained K, and ``coercivity_ratio`` factors H2.
     """
     if cache is None:
         cache = FormCache(mesh, profile)
     h2, wgrad = cache.interior(k)
-    bv0, bva = assemble_boundary_forms(mesh, k, lam, params, profile)
-    kmat = lam * wgrad.matrix + params.mu * h2.matrix + bv0.matrix + bva.matrix
+    bv0, bva = assemble_boundary_forms(k, lam, params, profile)
+    kmat = lam * wgrad + params.mu * h2
+    kmat[_ENDPOINT_BLOCK] += bv0
+    kmat[_ENDPOINT_BLOCK] += bva
     try:
         sla.cholesky_banded(_lower_band(kmat), overwrite_ab=True, lower=True,
                             check_finite=False)
@@ -192,7 +197,7 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         raise CoercivityError(
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"
         ) from exc
-    return PencilAssembly(K=SymForm(kmat, "B"), Mw=cache.wmass, lam=lam, k=k,
+    return PencilAssembly(K=kmat, Mw=cache.wmass, lam=lam, k=k,
                           params=params, cache=cache)
 
 
@@ -225,15 +230,21 @@ def _dense_pairs(pencil: PencilAssembly, count: int | None = None):
     moment-constrained trial space, by decreasing eigenvalue.
 
     Returns (values, constrained vectors); ``_lift`` gives full DOF
-    vectors.  This is the one dense eigensolve of (Mw, K).
+    vectors.  This is the one dense eigensolve of (Mw, K); it factors
+    the constrained K and raises CoercivityError if that fails.
     """
     row = pencil.moment_row
-    mw = _constrained(pencil.Mw.matrix, row)
-    kmat = _constrained(pencil.K.matrix, row)
+    mw = _constrained(pencil.Mw, row)
+    kmat = _constrained(pencil.K, row)
     dof = kmat.shape[0]
     subset = None if count is None else (max(0, dof - count), dof - 1)
-    vals, vecs = sla.eigh(mw, kmat, overwrite_a=True, overwrite_b=True,
-                          check_finite=False, subset_by_index=subset)
+    try:
+        vals, vecs = sla.eigh(mw, kmat, overwrite_a=True, overwrite_b=True,
+                              check_finite=False, subset_by_index=subset)
+    except np.linalg.LinAlgError as exc:
+        raise CoercivityError(
+            f"moment-constrained operator matrix lost positive definiteness "
+            f"at lam={pencil.lam}, k={pencil.k}") from exc
     return vals[::-1], vecs[:, ::-1]
 
 
@@ -255,8 +266,8 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
     count, row = min(n_max, _positive_count(vals)), pencil.moment_row
     gammas = vals[:count].copy()
     vectors = _lift(vecs[:, :count], row)
-    mx = _restricted(pencil.Mw.matrix @ vectors, row)
-    kx = _restricted(pencil.K.matrix @ vectors, row)
+    mx = _restricted(pencil.Mw @ vectors, row)
+    kx = _restricted(pencil.K @ vectors, row)
     scale = np.maximum(np.linalg.norm(mx, axis=0),
                        gammas * np.linalg.norm(kx, axis=0))
     max_residual = float((np.linalg.norm(mx - kx * gammas, axis=0)
@@ -294,7 +305,7 @@ def _rayleigh(pencil: PencilAssembly,
     wgrad = (w * rho) @ (k2 * v * v + dv * dv)
     h2 = w @ (ddv * ddv + 2.0 * k2 * dv * dv + k2 * k2 * v * v)
     mass = (w * drho) @ (v * v)
-    va, da, v0, d0 = vector[0], vector[1], vector[-2], vector[-1]
+    va, da, v0, d0 = vector[ENDPOINT_DOFS]
     tau = tau_decay(k, lam, profile.rho_minus, mu)
     surface = params.g * k2 * profile.rho_plus * v0 * v0
     depth = (k * tau * (k + tau) * va * va - 2.0 * k * tau * va * da
@@ -325,7 +336,7 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     residual is at most _BLOCK_RTOL, or None after _BLOCK_MAX_ITERATIONS
     or when the block loses rank.
     """
-    kmat, mw, row = pencil.K.matrix, pencil.Mw.matrix, pencil.moment_row
+    kmat, mw, row = pencil.K, pencil.Mw, pencil.moment_row
     # Only the last 3x3 corner of the banded K changes under T^T K T.
     band = _lower_band(kmat[:-1, :-1])
     corner_map = np.vstack([np.eye(3), row])
@@ -409,23 +420,22 @@ def boundary_quotient_spectrum(mesh: Mesh, k: float,
     most four survive the magnitude floor.  Closed forms exist: 1 (twice)
     and two negative values determined by sinh(ka) and ka.
     """
-    q = boundary_quotient_form(mesh, k)
-    h2 = assemble_h2_form(mesh, k)
-    vals = sla.eigh(q.matrix, h2.matrix, eigvals_only=True)
+    q = np.zeros((mesh.dof_count, mesh.dof_count))
+    q[_ENDPOINT_BLOCK] = boundary_quotient_form(k)
+    vals = sla.eigh(q, assemble_h2_form(mesh, k), eigvals_only=True)
     vals = vals[np.abs(vals) > magnitude_floor]
     return np.sort(vals)[::-1]
 
 
 def coercivity_ratio(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
-                     k: float, lam: float, cache: FormCache | None = None) -> float:
+                     k: float, lam: float) -> float:
     """Smallest eigenvalue of (K/mu) x = r H2 x.
 
     Bounded below by 2(sinh(ka) - ka)/(3 sinh(ka) - ka) uniformly in the
     rate and in the stratification shape.
     """
-    pencil = assemble_B(mesh, profile, params, k, lam, cache=cache)
-    h2 = pencil.cache.interior(k)[0]
-    vals = sla.eigh(pencil.K.matrix / params.mu, h2.matrix,
+    pencil = assemble_B(mesh, profile, params, k, lam)
+    vals = sla.eigh(pencil.K / params.mu, pencil.cache.interior(k)[0],
                     eigvals_only=True, subset_by_index=(0, 0))
     return float(vals[0])
 

@@ -24,7 +24,7 @@ from .growth_solver import (
     lattice_magnitudes,
     solve_lambda_n,
 )
-from .modes import NormalMode, build_normal_mode, outer_coefficients
+from .modes import NormalMode, build_normal_mode
 from .spectral_core import (
     FormCache,
     assemble_B,

@@ -365,6 +365,12 @@ _BAD_INPUTS = {
                                       "--out", "{tmp}/missing/x.txt"]),
     "out-is-directory": (None, ["verify", "--suite", "appendixD",
                                 "--out", "{tmp}"]),
+    "huge-k-range": (None, ["dispersion", "--k-min", "1e300", "--k-max",
+                            "1e300", "--n-k", "1", "--out", "{tmp}/x.csv"]),
+    "huge-depth": (b"profile.a = 1e300\n", ["lambda-max"]),
+    "tiny-depth": (b"profile.a = 1e-300\n", ["lambda-max"]),
+    "mode-k-next-to-zero": (None, ["mode", "--k1", "1e-300", "--k2", "0",
+                                   "--out", "{tmp}/x.csv"]),
 }
 
 
@@ -389,7 +395,34 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, case):
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
 
 
-_BAD_VALUES = ("0", "-1", "-2.5", "inf", "-inf", "nan", "many", "1e", "")
+# Inputs that once ended in a traceback and exit code 1 deep in the
+# numerics, and now end in a numerical failure: (config file contents,
+# command line).
+_NUMERICAL_FAILURES = {
+    # tau = sqrt(k^2 + lam rho_minus / mu) rounds to k: no tail fits
+    "tail-decay-rounds-to-k": (b"profile.rho_minus = 1e-300\n",
+                               ["mode", "--k1", "1", "--k2", "0",
+                                "--out", "{tmp}/x.csv"]),
+    # the moment-constrained K is not positive definite for eigh
+    "tiny-k-coarse-mesh": (b"mesh.n_elements = 8\n",
+                           ["dispersion", "--k-min", "1e-300", "--k-max",
+                            "1e-300", "--n-k", "1", "--out", "{tmp}/x.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NUMERICAL_FAILURES))
+def test_numerical_failure_exits_4_with_one_line(tmp_path, case):
+    config, argv = _NUMERICAL_FAILURES[case]
+    path = tmp_path / "run.cfg"
+    path.write_bytes(config)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, _, err = _run(argv + ["--config", str(path)])
+    assert code == 4
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+
+
+_BAD_VALUES = ("0", "-1", "-2.5", "inf", "-inf", "nan", "many", "1e", "",
+               "1e300", "1e-300")
 _KEYS = ("profile.kind", "profile.rho_minus", "profile.rho_plus", "profile.a",
          "params.mu", "params.g", "mesh.quadrature_points", "solver.tol_rel",
          "solver.max_iter", "solver.n_max", "lattice.L1", "lattice.L2",
@@ -408,7 +441,8 @@ _config_texts = st.builds(
     _mostly([str(n) for n in range(1, 17)], _BAD_VALUES),
     st.lists(st.tuples(st.sampled_from(_KEYS + ("mesh.n_element", "solver.x")),
                        _mostly(("1", "2"), _BAD_VALUES)), max_size=2))
-_k_values = _mostly(("0.5", "1", "2"), ("0", "-1", "inf", "nan", "abc"))
+_k_values = _mostly(("0.5", "1", "2"),
+                    ("0", "-1", "inf", "nan", "abc", "1e300", "1e-300"))
 _outputs = _mostly(("file",), ("missing-dir", "directory"))
 _command_lines = st.one_of(
     st.builds(lambda k_min, k_max, n_k, n_max, out:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rtspec as rt
+from rtspec.discretization import ENDPOINT_DOFS, assemble_boundary_forms
 from rtspec.errors import CoercivityError
 from rtspec.spectral_core import (
     DROP_THRESHOLD,
@@ -38,24 +39,44 @@ class ReshapedGradientProfile:
 
 def test_assemble_B_structure(profile, params, mesh64):
     pencil = rt.assemble_B(mesh64, profile, params, 1.0, 0.1)
-    assert np.abs(pencil.K.matrix - pencil.K.matrix.T).max() == 0.0
-    np.linalg.cholesky(pencil.K.matrix)  # SPD
+    assert np.abs(pencil.K - pencil.K.T).max() == 0.0
+    np.linalg.cholesky(pencil.K)  # SPD
+
+
+@pytest.mark.parametrize("n_elements", [64, 128])
+def test_assemble_B_adds_endpoint_blocks_at_endpoint_dofs(profile, params,
+                                                          n_elements):
+    # K is lam WGRAD + mu H2 + BV0 + BVA bit for bit, with each 4x4
+    # endpoint block standing for the N x N matrix it is embedded in
+    k, lam = 1.3, 0.2
+    mesh = rt.build_mesh(profile.a, n_elements)
+    cache = rt.FormCache(mesh, profile)
+    h2, wgrad = cache.interior(k)
+    embedded = []
+    for form in assemble_boundary_forms(k, lam, params, profile):
+        full = np.zeros_like(h2)
+        full[np.ix_(ENDPOINT_DOFS, ENDPOINT_DOFS)] = form
+        embedded.append(full)
+    expected = lam * wgrad + params.mu * h2 + embedded[0] + embedded[1]
+    pencil = rt.assemble_B(mesh, profile, params, k, lam, cache=cache)
+    assert np.array_equal(pencil.K, expected)
+    assert pencil.Mw is cache.wmass
 
 
 def test_degenerate_profile_keeps_operator_spd(degenerate_profile, params,
                                                mesh64):
     pencil = rt.assemble_B(mesh64, degenerate_profile, params, 1.0, 0.1)
-    assert np.abs(pencil.Mw.matrix).max() == 0.0
-    np.linalg.cholesky(pencil.K.matrix)
+    assert np.abs(pencil.Mw).max() == 0.0
+    np.linalg.cholesky(pencil.K)
 
 
 def test_rate_dependence_is_gradient_form_plus_boundary(profile, params,
                                                         mesh64):
     lam1, lam2, k = 0.2, 0.7, 1.0
     cache = rt.FormCache(mesh64, profile)
-    k1 = rt.assemble_B(mesh64, profile, params, k, lam1, cache=cache).K.matrix
-    k2 = rt.assemble_B(mesh64, profile, params, k, lam2, cache=cache).K.matrix
-    wgrad = cache.interior(k)[1].matrix
+    k1 = rt.assemble_B(mesh64, profile, params, k, lam1, cache=cache).K
+    k2 = rt.assemble_B(mesh64, profile, params, k, lam2, cache=cache).K
+    wgrad = cache.interior(k)[1]
     interior = np.ones(mesh64.dof_count, bool)
     interior[[0, 1, -2, -1]] = False
     diff = (k2 - k1)[np.ix_(interior, interior)]
@@ -75,7 +96,8 @@ def test_operator_coercivity_on_random_vectors(profile, params, mesh64):
     rng = np.random.default_rng(0)
     for _ in range(100):
         c = rng.standard_normal(mesh64.dof_count)
-        assert pencil.K(c) / params.mu >= bound * h2(c) * (1.0 - 1e-12)
+        assert (c @ pencil.K @ c / params.mu
+                >= bound * (c @ h2 @ c) * (1.0 - 1e-12))
 
 
 def test_gamma_spectrum_contract(profile, params, mesh64):
@@ -88,7 +110,7 @@ def test_gamma_spectrum_contract(profile, params, mesh64):
     # the pairs themselves cannot be measured more accurately in doubles
     assert spec.max_residual <= 1e-8
     # vectors are K-orthonormal (same eps * cond(K) floor)
-    gram = spec.vectors.T @ pencil.K.matrix @ spec.vectors
+    gram = spec.vectors.T @ pencil.K @ spec.vectors
     assert np.abs(gram - np.eye(6)).max() <= 1e-8
     # eigenvalue-only path agrees
     vals = rt.gamma_values(pencil, 6)
@@ -135,7 +157,7 @@ def test_gamma_scales_linearly_with_mass(profile, params, mesh64):
     import dataclasses
     pencil = rt.assemble_B(mesh64, profile, params, 1.0, 0.1)
     scaled = dataclasses.replace(
-        pencil, Mw=rt.SymForm(3.0 * pencil.Mw.matrix, "WMASS"))
+        pencil, Mw=3.0 * pencil.Mw)
     g1 = rt.gamma_spectrum(pencil, 4).gammas
     g3 = rt.gamma_spectrum(scaled, 4).gammas
     assert np.allclose(g3, 3.0 * g1, rtol=1e-12)
@@ -191,10 +213,8 @@ def test_boundary_quotient_min_limit(mesh64):
 def test_coercivity_ratio_respects_bound(profile, params, mesh64, growth_cap):
     for k in (0.5, 1.0, 2.0):
         bound = rt.coercivity_bound(k * mesh64.a)
-        cache = rt.FormCache(mesh64, profile)
         for lam in np.linspace(growth_cap / 10, growth_cap, 10):
-            ratio = rt.coercivity_ratio(mesh64, profile, params, k,
-                                        float(lam), cache=cache)
+            ratio = rt.coercivity_ratio(mesh64, profile, params, k, float(lam))
             assert ratio >= bound - 1e-9
 
 
@@ -224,14 +244,14 @@ class IndefiniteH2Cache(rt.FormCache):
 
     def interior(self, k):
         h2, wgrad = super().interior(k)
-        bad = -h2.matrix
+        bad = -h2
         if self.variant == "outer-band":
             # positive diagonal, but a 2x2 principal minor on the outermost
             # band diagonal is negative
-            bad = h2.matrix.copy()
+            bad = h2.copy()
             i = bad.shape[0] // 2
             bad[i, i + 3] = bad[i + 3, i] = 10.0 * np.abs(bad).max()
-        return rt.SymForm(bad, "H2"), wgrad
+        return bad, wgrad
 
 
 @pytest.mark.parametrize("n_elements", [64, 128])
