@@ -7,9 +7,8 @@ a numerical verification suite for the identities the solver relies on.
 """
 
 from .equilibria import DensityProfile, PhysicalParams, char_length
-from .discretization import Mesh, build_mesh, HermiteFunction
+from .discretization import FormCache, HermiteFunction, Mesh, build_mesh, form_cache
 from .spectral_core import (
-    FormCache,
     PencilAssembly,
     SpectrumResult,
     assemble_B,
@@ -63,8 +62,8 @@ from .errors import (
 
 __all__ = [
     "DensityProfile", "PhysicalParams", "char_length",
-    "Mesh", "build_mesh", "HermiteFunction",
-    "FormCache", "PencilAssembly", "SpectrumResult",
+    "Mesh", "build_mesh", "HermiteFunction", "FormCache", "form_cache",
+    "PencilAssembly", "SpectrumResult",
     "assemble_B", "boundary_quotient_spectrum", "coercivity_bound",
     "coercivity_ratio", "gamma_spectrum", "gamma_values",
     "quotient_stationary_values",

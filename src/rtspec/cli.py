@@ -52,6 +52,14 @@ def _record_row(r: GrowthRecord) -> str:
                      str(r.iterations), str(bool(r.converged))])
 
 
+def _failed(records) -> bool:
+    """Count records that failed other than by an absent branch on stderr."""
+    bad = sum(not r.converged and r.reason != NO_UNSTABLE_BRANCH for r in records)
+    if bad:
+        print(f"{bad} record(s) failed to converge", file=sys.stderr)
+    return bad > 0
+
+
 def cmd_dispersion(config: RunConfig, args) -> int:
     mesh, profile, params = config.mesh(), config.profile(), config.params()
     if not 0 < args.k_min <= args.k_max <= MAX_KA / mesh.a:
@@ -66,10 +74,7 @@ def cmd_dispersion(config: RunConfig, args) -> int:
     records = dispersion(mesh, profile, params, ks, n_max, settings)
     lines = [CSV_HEADER] + [_record_row(r) for r in records]
     _write_lines(args.out, config, lines)
-    bad = [r for r in records if not r.converged
-           and r.reason != NO_UNSTABLE_BRANCH]
-    if bad:
-        print(f"{len(bad)} record(s) failed to converge", file=sys.stderr)
+    if _failed(records):
         return EXIT_NUMERICAL
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
@@ -90,6 +95,8 @@ def cmd_lambda_max(config: RunConfig, args) -> int:
     if args.out:
         lines = [CSV_HEADER] + [_record_row(r) for r in result.records]
         _write_lines(args.out, config, lines)
+    if _failed(result.records):
+        return EXIT_NUMERICAL
     if not result.any_unstable:
         print("no unstable branch on the lattice", file=sys.stderr)
         return EXIT_NO_UNSTABLE

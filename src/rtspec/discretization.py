@@ -4,7 +4,9 @@ Every symmetric form the stability operator needs lives here as a plain
 array: the H2 energy form and the density-weighted gradient and mass forms
 as N x N matrices; the two boundary forms (surface and matching depth)
 and the endpoint quotient form, whose pencil eigenvalues have closed-form
-values, as 4x4 blocks on the endpoint DOFs.
+values, as 4x4 blocks on the endpoint DOFs.  The interior forms depend
+on the mesh and the profile only: ``form_cache`` assembles them once per
+(mesh, profile) and every caller shares them read-only.
 
 Degrees of freedom are interleaved (value, slope) per node, so those are
 ``ENDPOINT_DOFS``: value and slope at x = -a, then at x = 0.
@@ -13,7 +15,7 @@ Degrees of freedom are interleaved (value, slope) per node, so those are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,6 +26,11 @@ DEFAULT_QUADRATURE_POINTS = 10
 
 # Global DOFs of (value, slope) at x = -a and (value, slope) at x = 0.
 ENDPOINT_DOFS = [0, 1, -2, -1]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +50,7 @@ class Mesh:
         """Gauss points xi in [0, 1] of one element and their weights,
         including the h/2 factor; read-only, since every caller shares them."""
         t, w = np.polynomial.legendre.leggauss(self.quadrature_points)
-        xi, wq = 0.5 * (t + 1.0), 0.5 * w * self.h
-        xi.flags.writeable = wq.flags.writeable = False
-        return xi, wq
+        return _read_only(0.5 * (t + 1.0)), _read_only(0.5 * w * self.h)
 
     @cached_property
     def quadrature_shapes(self) -> np.ndarray:
@@ -53,18 +58,15 @@ class Mesh:
         points, shape (3, n_quad, 4): [derivative order, point, local DOF];
         read-only."""
         xi, _ = self.reference_quadrature
-        shapes = hermite_shapes(xi, self.h)[:3].transpose(0, 2, 1)
-        shapes.flags.writeable = False
-        return shapes
+        return _read_only(hermite_shapes(xi, self.h)[:3].transpose(0, 2, 1))
 
     @cached_property
     def element_dofs(self) -> np.ndarray:
         """Global DOFs of each element, shape (n_elements, 4): (value left,
         slope left, value right, slope right); read-only."""
         e = np.arange(self.n_elements)
-        dofs = np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3], axis=1)
-        dofs.flags.writeable = False
-        return dofs
+        return _read_only(np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3],
+                                    axis=1))
 
     @property
     def h(self) -> float:
@@ -201,6 +203,52 @@ def assemble_weighted_mass(mesh: Mesh, profile: DensityProfile) -> np.ndarray:
     return _interior_form(mesh, {0: drho})
 
 
+class FormCache:
+    """The interior forms and quadrature data of one (mesh, profile).
+
+    Boundary forms are rate-dependent and cheap, so only H2 / WGRAD /
+    WMASS are cached, plus the ``layer`` weights and densities that
+    quadrature sums over element functions read.  H2 and WGRAD are kept
+    for the last k asked for only, so a sweep's cache does not grow with
+    its k values.  Every array it returns is read-only: ``form_cache``
+    shares one instance among all callers.
+    """
+
+    def __init__(self, mesh: Mesh, profile: DensityProfile):
+        self.mesh = mesh
+        self.profile = profile
+        self._by_k: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def wmass(self) -> np.ndarray:
+        return _read_only(assemble_weighted_mass(self.mesh, self.profile))
+
+    @cached_property
+    def layer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(weights, rho0, drho0) at the raveled quadrature points."""
+        pts, wts = quadrature(self.mesh)
+        x = pts.ravel()
+        return (_read_only(wts.ravel()), _read_only(self.profile.rho0(x)),
+                _read_only(self.profile.drho0(x)))
+
+    def interior(self, k: float) -> tuple[np.ndarray, np.ndarray]:
+        """(H2, WGRAD) at wavenumber k."""
+        if k not in self._by_k:
+            self._by_k = {k: (
+                _read_only(assemble_h2_form(self.mesh, k)),
+                _read_only(assemble_weighted_gradient_form(self.mesh,
+                                                           self.profile, k)))}
+        return self._by_k[k]
+
+
+@lru_cache(maxsize=1)
+def form_cache(mesh: Mesh, profile: DensityProfile) -> FormCache:
+    """The one ``FormCache`` of (mesh, profile); only the last (mesh,
+    profile) is kept, as ``FormCache.interior`` keeps only the last k.
+    Meshes compare by identity."""
+    return FormCache(mesh, profile)
+
+
 def tau_decay(k: float, lam: float, rho_minus: float, mu: float) -> float:
     """Decay rate of the slower outer branch: sqrt(k^2 + lam * rho_minus / mu)."""
     return float(np.sqrt(k**2 + lam * rho_minus / mu))
@@ -269,9 +317,9 @@ class HermiteFunction:
         out = np.einsum("pi,ip->p", self.coeffs[dofs], n)
         return float(out[0]) if scalar else out
 
-    def peak(self, samples_per_element: int = 8) -> float:
-        """The sampled value of largest magnitude, with its sign."""
-        sub = np.linspace(0.0, 1.0, samples_per_element + 1)
+    def peak(self) -> float:
+        """Largest-magnitude value, with its sign, of 8 samples per element."""
+        sub = np.linspace(0.0, 1.0, 9)
         pts = (self.mesh.nodes[:-1, None] + self.mesh.h * sub[None, :]).ravel()
         vals = self(pts)
         return float(vals[np.argmax(np.abs(vals))])

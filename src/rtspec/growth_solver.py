@@ -24,7 +24,6 @@ from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError, NumericalError
 from .spectral_core import (
     BranchEvaluation,
-    FormCache,
     assemble_B,
     branch_evaluation,
     dense_branches,
@@ -32,12 +31,17 @@ from .spectral_core import (
 )
 
 NO_UNSTABLE_BRANCH = "no-unstable-branch"
+RATE_BELOW_FLOOR = "rate-below-floor"
 MAX_ITERATIONS = "max-iterations"
 RESIDUAL_ABOVE_TOLERANCE = "residual-above-tolerance"
 
 # The operator blows up as 1/lam at the bottom of the rate interval, so the
 # bracket starts at a small positive fraction of the cap instead of 0.
 BRACKET_FLOOR = 1e-12
+
+# The solver squares rates down to BRACKET_FLOOR * cap; below this cap the
+# square of that floor is no longer a normal float.
+MIN_GROWTH_CAP = math.sqrt(np.finfo(float).tiny) / BRACKET_FLOOR
 
 # A converged record must reproduce its own fixed point to this relative level.
 FIXED_POINT_RTOL = 1e-8
@@ -121,26 +125,27 @@ class LambdaMaxResult:
                      if r.converged and r.k == self.argmax_k), None)
 
 
-def _no_branch(k: float, n: int) -> GrowthRecord:
+def _no_branch(k: float, n: int, reason: str = NO_UNSTABLE_BRANCH) -> GrowthRecord:
     return GrowthRecord(k=k, n=n, lambda_n=math.nan, residual=math.nan,
-                        iterations=0, converged=False, reason=NO_UNSTABLE_BRANCH)
+                        iterations=0, converged=False, reason=reason)
 
 
-def _bracket_ends(params: PhysicalParams, k: float, n: int, cap: float,
-                  cache: FormCache) -> tuple[list[BranchEvaluation], np.ndarray]:
+def _bracket_ends(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
+                  k: float, n: int, cap: float
+                  ) -> tuple[list[BranchEvaluation], np.ndarray]:
     """Bracket ends of branches 1..n: every dense branch at BRACKET_FLOOR *
-    cap and the eigenvalues at the cap."""
-    mesh, profile = cache.mesh, cache.profile
+    cap and the eigenvalues at the cap; ConfigError below MIN_GROWTH_CAP."""
+    if cap < MIN_GROWTH_CAP:
+        raise ConfigError(f"growth-rate cap sqrt(g/L0) = {cap:.3g} is below "
+                          f"{MIN_GROWTH_CAP:.3g}")
     return (dense_branches(assemble_B(mesh, profile, params, k,
-                                      BRACKET_FLOOR * cap, cache=cache), n),
-            gamma_values(assemble_B(mesh, profile, params, k, cap,
-                                    cache=cache), n))
+                                      BRACKET_FLOOR * cap), n),
+            gamma_values(assemble_B(mesh, profile, params, k, cap), n))
 
 
 def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                    k: float, n: int, settings: SolverSettings = SolverSettings(),
-                   cache: FormCache | None = None, *,
-                   ends: tuple[list[BranchEvaluation], np.ndarray] | None = None
+                   *, ends: tuple[list[BranchEvaluation], np.ndarray] | None = None
                    ) -> GrowthRecord:
     """Solve for the n-th growth rate at wavenumber k by bracketed Newton.
 
@@ -160,14 +165,13 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
 
     Returns a non-converged record with reason ``no-unstable-branch`` when
     the branch is absent (degenerate stratification, or n beyond the
-    positive spectrum) rather than raising.
+    positive spectrum) rather than raising, and with ``rate-below-floor``
+    when a present branch has f <= 0 at the bracket floor: its rate is lower.
     """
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
     if n < 1:
         raise ValueError("branch index n must be at least 1")
-    if cache is None:
-        cache = FormCache(mesh, profile)
     _, cap = char_length(profile, params.g)
     if cap == 0.0:
         return _no_branch(k, n)
@@ -177,8 +181,8 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     def evaluate(lam: float, block: np.ndarray | None = None):
         """(f, f', block) at lam, or None when branch n is absent there."""
         nonlocal dense_solves, block_evaluations, block_iterations
-        ev = branch_evaluation(
-            assemble_B(mesh, profile, params, k, lam, cache=cache), n, block)
+        ev = branch_evaluation(assemble_B(mesh, profile, params, k, lam),
+                               n, block)
         if ev is None:
             return None
         block_evaluations += block is not None
@@ -188,7 +192,7 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
 
     lo, hi = BRACKET_FLOOR * cap, cap
     if ends is None:
-        ends = _bracket_ends(params, k, n, cap, cache)
+        ends = _bracket_ends(mesh, profile, params, k, n, cap)
         dense_solves += 2
     lowers, upper = ends
     if len(lowers) < n or upper.size < n:
@@ -196,7 +200,7 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     lower = lowers[n - 1]
     f_lo = gk2 * lower.gamma - lo
     if f_lo <= 0.0:
-        return _no_branch(k, n)
+        return _no_branch(k, n, RATE_BELOW_FLOOR)
     f_hi = gk2 * upper[n - 1] - hi
     if f_hi >= 0.0:
         raise NumericalError(
@@ -266,23 +270,22 @@ def dispersion(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
 
     Missing branches appear as non-converged records, not failures.  Once
     branch n is absent at some k, higher branches there are absent too.
-    One form cache serves the whole sweep, and the pencils at the two
-    bracket ends are solved once per k for all n_max branches.
+    The pencils at the two bracket ends are solved once per k for all
+    n_max branches.
     """
     _, cap = char_length(profile, params.g)
-    cache = FormCache(mesh, profile)
     records: list[GrowthRecord] = []
     for k in k_values:
         k = float(k)
         ends = (None if cap == 0.0
-                else _bracket_ends(params, k, n_max, cap, cache))
+                else _bracket_ends(mesh, profile, params, k, n_max, cap))
         absent = False
         for n in range(1, n_max + 1):
             if absent:
                 records.append(_no_branch(k, n))
                 continue
             rec = solve_lambda_n(mesh, profile, params, k, n, settings,
-                                 cache=cache, ends=ends)
+                                 ends=ends)
             if rec.reason == NO_UNSTABLE_BRANCH:
                 absent = True
             records.append(rec)
@@ -291,9 +294,8 @@ def dispersion(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
 
 def refinement_agreement(mesh: Mesh, profile: DensityProfile,
                          params: PhysicalParams, record: GrowthRecord,
-                         factor: int = 2,
                          settings: SolverSettings = SolverSettings()) -> float:
-    """Relative change of the rate when the mesh is refined by ``factor``.
+    """Relative change of the rate when the mesh is refined by a factor 2.
 
     How many branches are trustworthy at a given resolution cannot be
     declared a priori; this probe quantifies it per record.  NaN when
@@ -301,7 +303,7 @@ def refinement_agreement(mesh: Mesh, profile: DensityProfile,
     """
     if not record.converged:
         return math.nan
-    finer = build_mesh(mesh.a, mesh.n_elements * factor,
+    finer = build_mesh(mesh.a, 2 * mesh.n_elements,
                        mesh.quadrature_points)
     refined = solve_lambda_n(finer, profile, params, record.k, record.n,
                              settings)
@@ -318,12 +320,12 @@ def lattice_magnitudes(L1: float, L2: float, Kmax: float) -> np.ndarray:
     """
     if not 0.0 < Kmax < math.inf:
         raise ConfigError("lattice.Kmax must be strictly positive and finite")
-    i_max = int(math.floor(Kmax * L1 + 1e-12))
-    j_max = int(math.floor(Kmax * L2 + 1e-12))
+    # Clamped, so that a span that overflows to inf still counts as too many.
+    i_max, j_max = (math.floor(min(Kmax * L, MAX_LATTICE_POINTS) + 1e-12)
+                    for L in (L1, L2))
     if (i_max + 1) * (j_max + 1) > MAX_LATTICE_POINTS:
-        raise ConfigError(
-            f"lattice.Kmax={Kmax} spans {(i_max + 1) * (j_max + 1)} lattice "
-            f"points, more than {MAX_LATTICE_POINTS}")
+        raise ConfigError(f"lattice.Kmax={Kmax} spans more than "
+                          f"{MAX_LATTICE_POINTS} lattice points")
     mags: dict[float, float] = {}
     for i in range(i_max + 1):
         for j in range(j_max + 1):
@@ -351,8 +353,6 @@ def lambda_max(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     records = tuple(dispersion(mesh, profile, params, mags, 1, settings))
     best = max((r for r in records if r.converged),
                key=lambda r: r.lambda_n, default=None)
-    if best is None:
-        return LambdaMaxResult(Lambda=0.0, argmax_k=math.nan,
-                               lattice_cutoff=Kmax, records=records)
-    return LambdaMaxResult(Lambda=best.lambda_n, argmax_k=best.k,
+    return LambdaMaxResult(Lambda=best.lambda_n if best else 0.0,
+                           argmax_k=best.k if best else math.nan,
                            lattice_cutoff=Kmax, records=records)

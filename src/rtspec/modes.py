@@ -20,8 +20,9 @@ import numpy as np
 from .discretization import HermiteFunction, Mesh, tau_decay
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import NoUnstableBranchError, NumericalError
-from .growth_solver import GrowthRecord, SolverSettings, solve_lambda_n
-from .spectral_core import FormCache, assemble_B, gamma_spectrum
+from .growth_solver import (NO_UNSTABLE_BRANCH, GrowthRecord, SolverSettings,
+                            solve_lambda_n)
+from .spectral_core import assemble_B, gamma_spectrum
 
 DEFAULT_DOMAIN_FACTOR = 10.0
 DEFAULT_SAMPLES = 512
@@ -172,15 +173,15 @@ def build_normal_mode(mesh: Mesh, profile: DensityProfile, params: PhysicalParam
     k = math.hypot(k1, k2)
     if k == 0.0:
         raise ValueError("zero wavenumber excluded")
-    cache = FormCache(mesh, profile)
     if record is None:
-        record = solve_lambda_n(mesh, profile, params, k, n, settings, cache=cache)
+        record = solve_lambda_n(mesh, profile, params, k, n, settings)
     if not record.converged:
-        raise NoUnstableBranchError(
+        error = (NoUnstableBranchError if record.reason == NO_UNSTABLE_BRANCH
+                 else NumericalError)
+        raise error(
             f"no converged growth rate for |k|={k}, n={n} ({record.reason})")
     lam = record.lambda_n
-    spectrum = gamma_spectrum(assemble_B(mesh, profile, params, k, lam,
-                                         cache=cache), n)
+    spectrum = gamma_spectrum(assemble_B(mesh, profile, params, k, lam), n)
     if len(spectrum) < n:
         raise NoUnstableBranchError(f"branch n={n} absent at lam={lam}")
     coeffs = spectrum.vectors[:, n - 1].copy()

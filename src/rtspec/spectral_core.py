@@ -21,27 +21,27 @@ pencil's matrices, with relative noise of about eps * cond(K).  The root
 finder reads ``branch_evaluation`` instead: the Rayleigh quotient of each
 eigenvector with both quadratic forms summed as squares at the quadrature
 points, which is free of that noise, and its rate derivative.  The forms
-are those of the parameters and form cache the pencil carries.
+are those of the parameters and form cache the pencil carries:
+``discretization.form_cache(mesh, profile)``, which every pencil of one
+mesh and profile shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .discretization import (
     ENDPOINT_DOFS,
+    FormCache,
     Mesh,
     assemble_boundary_forms,
     assemble_h2_form,
-    assemble_weighted_gradient_form,
-    assemble_weighted_mass,
     boundary_quotient_form,
-    quadrature,
+    form_cache,
     quadrature_values,
     tau_decay,
 )
@@ -72,9 +72,10 @@ _GUARD_VECTORS = 2
 class PencilAssembly:
     """Operator matrix K and stratification mass Mw at fixed (lam, k): N x N arrays.
 
-    ``params`` and ``cache`` are the ones the pencil was assembled from:
-    ``branch_evaluation`` recomputes its Rayleigh quotient from their
-    forms, not from K and Mw.  A pencil whose matrices were replaced (say
+    ``params`` and ``cache`` are the ones the pencil was assembled from, the
+    cache being ``form_cache(mesh, profile)``; ``Mw`` is its read-only
+    WMASS.  ``branch_evaluation`` recomputes its Rayleigh quotient from
+    their forms, not from K and Mw.  A pencil whose matrices were replaced (say
     with ``dataclasses.replace(K=..., Mw=...)``) is therefore for
     ``gamma_values`` and ``gamma_spectrum`` only.
     """
@@ -138,42 +139,8 @@ class BranchEvaluation:
     dense: bool
 
 
-class FormCache:
-    """Per-(mesh, profile) cache of the interior forms and quadrature data.
-
-    Boundary forms are rate-dependent and cheap, so only H2 / WGRAD /
-    WMASS are cached, plus the ``layer`` weights and densities that
-    quadrature sums over element functions read.  H2 and WGRAD are kept
-    for the last k asked for only, so a sweep's cache does not grow with
-    its k values.
-    Immutable inputs make this safe to share.
-    """
-
-    def __init__(self, mesh: Mesh, profile: DensityProfile):
-        self.mesh = mesh
-        self.profile = profile
-        self._by_k: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    @cached_property
-    def wmass(self) -> np.ndarray:
-        return assemble_weighted_mass(self.mesh, self.profile)
-
-    @cached_property
-    def layer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(weights, rho0, drho0) at the raveled quadrature points."""
-        pts, wts = quadrature(self.mesh)
-        x = pts.ravel()
-        return wts.ravel(), self.profile.rho0(x), self.profile.drho0(x)
-
-    def interior(self, k: float) -> tuple[np.ndarray, np.ndarray]:
-        if k not in self._by_k:
-            self._by_k = {k: (assemble_h2_form(self.mesh, k),
-                              assemble_weighted_gradient_form(self.mesh, self.profile, k))}
-        return self._by_k[k]
-
-
 def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
-               k: float, lam: float, cache: FormCache | None = None) -> PencilAssembly:
+               k: float, lam: float) -> PencilAssembly:
     """Assemble the SPD operator K and mass Mw; Cholesky-checks K.
 
     K is ``lam * WGRAD + mu * H2`` plus the endpoint blocks BV0 and then
@@ -183,8 +150,7 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     definiteness check of the full K: ``eigh`` factors the
     moment-constrained K, and ``coercivity_ratio`` factors H2.
     """
-    if cache is None:
-        cache = FormCache(mesh, profile)
+    cache = form_cache(mesh, profile)
     h2, wgrad = cache.interior(k)
     bv0, bva = assemble_boundary_forms(k, lam, params, profile)
     kmat = lam * wgrad + params.mu * h2
@@ -337,6 +303,8 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     or when the block loses rank.
     """
     kmat, mw, row = pencil.K, pencil.Mw, pencil.moment_row
+    if not np.isfinite(kmat[-4:, -4:]).all():
+        return None  # g k^2 rho+ / lam overflowed: the corner would be NaN
     # Only the last 3x3 corner of the banded K changes under T^T K T.
     band = _lower_band(kmat[:-1, :-1])
     corner_map = np.vstack([np.eye(3), row])
@@ -412,18 +380,17 @@ def dense_branches(pencil: PencilAssembly, n: int) -> list[BranchEvaluation]:
             for m in range(1, min(n, _positive_count(vals)) + 1)]
 
 
-def boundary_quotient_spectrum(mesh: Mesh, k: float,
-                               magnitude_floor: float = 1e-10) -> np.ndarray:
+def boundary_quotient_spectrum(mesh: Mesh, k: float) -> np.ndarray:
     """Nonzero stationary values of the endpoint quotient, sorted decreasing.
 
     These are the eigenvalues of the rank-4 pencil BDRYQ x = beta H2 x; at
-    most four survive the magnitude floor.  Closed forms exist: 1 (twice)
+    most four exceed 1e-10 in magnitude.  Closed forms exist: 1 (twice)
     and two negative values determined by sinh(ka) and ka.
     """
     q = np.zeros((mesh.dof_count, mesh.dof_count))
     q[_ENDPOINT_BLOCK] = boundary_quotient_form(k)
     vals = sla.eigh(q, assemble_h2_form(mesh, k), eigvals_only=True)
-    vals = vals[np.abs(vals) > magnitude_floor]
+    vals = vals[np.abs(vals) > 1e-10]
     return np.sort(vals)[::-1]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Mesh, build_mesh, quadrature_values
+from .discretization import Mesh, build_mesh, form_cache, quadrature_values
 from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError
 from .growth_solver import (
@@ -26,7 +26,6 @@ from .growth_solver import (
 )
 from .modes import NormalMode, build_normal_mode
 from .spectral_core import (
-    FormCache,
     assemble_B,
     boundary_quotient_spectrum,
     branch_evaluation,
@@ -143,11 +142,11 @@ def random_trial(mesh: Mesh, k: float, rng: np.random.Generator) -> TrialFunctio
                          tau=2.0 * k)
 
 
-def _layer_integrals(trial: TrialFunction, cache: FormCache, k: float):
+def _layer_integrals(trial: TrialFunction, profile: DensityProfile, k: float):
     """Layer integrals of rho0 (k^2 v^2 + v'^2), (v'' + k^2 v)^2 + 4 k^2 v'^2
-    and drho0 v^2 at the quadrature points of ``cache`` (the trial's mesh),
-    one value per trial of a block."""
-    w, rho, drho = cache.layer
+    and drho0 v^2 at the quadrature points of the trial's mesh, one value
+    per trial of a block."""
+    w, rho, drho = form_cache(trial.mesh, profile).layer
     v, dv, ddv = quadrature_values(trial.mesh, trial.coeffs)
     weighted_grad = (w * rho) @ (k * k * v * v + dv * dv)
     stress = w @ ((ddv + k * k * v) ** 2 + 4.0 * k * k * dv * dv)
@@ -165,7 +164,7 @@ def energy_identity_residual(mode: NormalMode) -> CheckReport:
     profile, params = mode.profile, mode.params
     k, lam = mode.k, mode.lambda_n
     weighted_grad, stress, strat_mass = _layer_integrals(
-        TrialFunction.from_mode(mode), FormCache(mode.mesh, profile), k)
+        TrialFunction.from_mode(mode), profile, k)
     mass_out, grad_out, stress_out = tail_integrals(
         mode.A1, mode.A2, k, mode.tau_minus, k)
     rho_m = profile.rho_minus
@@ -184,28 +183,24 @@ def energy_identity_residual(mode: NormalMode) -> CheckReport:
 
 def check_variational_inequality(Lambda: float, trial: TrialFunction, k: float,
                                  profile: DensityProfile,
-                                 params: PhysicalParams,
-                                 slack: float = INEQUALITY_SLACK,
-                                 cache: FormCache | None = None) -> CheckReport:
+                                 params: PhysicalParams) -> CheckReport:
     """Maximal-growth bound: stratification energy vs rate-weighted norms.
 
-    Signed residual (lhs - rhs) / rhs must stay below the slack; equality
+    Signed residual (lhs - rhs) / rhs must stay below INEQUALITY_SLACK; equality
     is approached by the extremal mode at the lattice argmax.  A block of
     trials reports its worst residual.
     """
-    residuals = _inequality_residuals(Lambda, trial, k, profile, params, cache)
+    residuals = _inequality_residuals(Lambda, trial, k, profile, params)
     return CheckReport.make("variational-inequality", np.max(residuals),
-                            slack, k=k, Lambda=Lambda)
+                            INEQUALITY_SLACK, k=k, Lambda=Lambda)
 
 
 def _inequality_residuals(Lambda: float, trial: TrialFunction, k: float,
-                          profile: DensityProfile, params: PhysicalParams,
-                          cache: FormCache | None = None) -> np.ndarray:
+                          profile: DensityProfile,
+                          params: PhysicalParams) -> np.ndarray:
     """The bound's signed residual, one per trial of a block.  The layer
     norms are ``_layer_integrals`` divided by k^2."""
-    if cache is None:
-        cache = FormCache(trial.mesh, profile)
-    weighted_grad, stress, strat_mass = _layer_integrals(trial, cache, k)
+    weighted_grad, stress, strat_mass = _layer_integrals(trial, profile, k)
     mass_out, grad_out, stress_out = tail_integrals(trial.A1, trial.A2, k,
                                                     trial.tau, k)
     weighted = weighted_grad / k**2 + profile.rho_minus * (mass_out
@@ -221,8 +216,7 @@ def _inequality_residuals(Lambda: float, trial: TrialFunction, k: float,
 
 
 def fixed_point_residual(mesh: Mesh, profile: DensityProfile,
-                         params: PhysicalParams, record: GrowthRecord,
-                         cache: FormCache | None = None) -> CheckReport:
+                         params: PhysicalParams, record: GrowthRecord) -> CheckReport:
     """Recompute the branch's gamma at the solved rate and check the root.
 
     gamma comes from a dense eigensolve and the noise-free Rayleigh
@@ -231,8 +225,7 @@ def fixed_point_residual(mesh: Mesh, profile: DensityProfile,
     if not record.converged:
         return CheckReport.make("fixed-point", 0.0, FIXED_POINT_RTOL,
                                 vacuous=True, k=record.k, n=record.n)
-    pencil = assemble_B(mesh, profile, params, record.k, record.lambda_n,
-                        cache=cache)
+    pencil = assemble_B(mesh, profile, params, record.k, record.lambda_n)
     ev = branch_evaluation(pencil, record.n)
     gk2 = params.g * record.k**2
     res = (math.inf if ev is None
@@ -246,11 +239,9 @@ def _leading_gammas(mesh: Mesh, profile: DensityProfile,
                     grid: np.ndarray) -> np.ndarray:
     """gamma_1..gamma_n at each rate of ``grid``, one pencil per rate;
     shape (grid.size, n)."""
-    cache = FormCache(mesh, profile)
     gam = np.empty((grid.size, n))
     for i, lam in enumerate(grid):
-        g = gamma_values(assemble_B(mesh, profile, params, k, float(lam),
-                                    cache=cache), n)
+        g = gamma_values(assemble_B(mesh, profile, params, k, float(lam)), n)
         if g.size < n:
             raise ValueError(f"branch n={n} absent at lam={lam}")
         gam[i] = g
@@ -295,30 +286,30 @@ def monotonicity_probe(mesh: Mesh, profile: DensityProfile,
 MONOTONE_GRID_FLOOR = 1e-3
 MONOTONE_GRID_POINTS = 20
 
+# The wavenumber of the energy, monotone and convergence suites.
+SUITE_K = 1.0
 
-def appendix_d_suite(a: float = 1.0, n_elements: int = 64,
+
+def appendix_d_suite(a: float = 1.0,
                      ka_values=(0.5, 1.0, 2.0)) -> list[CheckReport]:
     """Endpoint-quotient pencil eigenvalues against their closed forms."""
-    mesh = build_mesh(a, n_elements)
+    mesh = build_mesh(a, 64)
     reports = []
     for ka in ka_values:
         computed = boundary_quotient_spectrum(mesh, ka / a)
         closed = quotient_stationary_values(ka)
-        if computed.size != 4:
-            residual = math.inf
-        else:
-            residual = float(np.abs(computed - closed).max())
+        residual = (float(np.abs(computed - closed).max())
+                    if computed.size == 4 else math.inf)
         reports.append(CheckReport.make(f"appendix-d ka={ka:g}", residual,
                                         APPENDIX_D_ATOL,
-                                        n_elements=n_elements))
+                                        n_elements=mesh.n_elements))
     return reports
 
 
-def energy_suite(profile: DensityProfile, params: PhysicalParams,
-                 k_vec=(1.0, 0.0), n: int = 1,
-                 n_elements: int = 128) -> list[CheckReport]:
-    mesh = build_mesh(profile.a, n_elements)
-    mode = build_normal_mode(mesh, profile, params, k_vec, n)
+def energy_suite(profile: DensityProfile,
+                 params: PhysicalParams) -> list[CheckReport]:
+    mesh = build_mesh(profile.a, 128)
+    mode = build_normal_mode(mesh, profile, params, (SUITE_K, 0.0), 1)
     return [energy_identity_residual(mode)]
 
 
@@ -340,7 +331,6 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
                                      0.0, INEQUALITY_SLACK, trials=0)]
         return [CheckReport.make("inequality (growth solves not converged)",
                                  math.inf, INEQUALITY_SLACK, trials=0)]
-    cache = FormCache(mesh, profile)
     rng = np.random.default_rng(seed)
     ks = lattice_magnitudes(params.L1, params.L2, Kmax)[:n_wavenumbers]
     reports = []
@@ -350,7 +340,7 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
             block = _random_trials(mesh, float(k), rng,
                                    min(_TRIAL_BLOCK, n_trials - start))
             rep = check_variational_inequality(result.Lambda, block, float(k),
-                                               profile, params, cache=cache)
+                                               profile, params)
             worst = max(worst, rep.residual)
         reports.append(CheckReport.make(f"inequality k={k:g}", worst,
                                         INEQUALITY_SLACK, trials=n_trials,
@@ -360,38 +350,35 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
                              settings, record=result.argmax_record)
     rep = check_variational_inequality(result.Lambda,
                                        TrialFunction.from_mode(mode),
-                                       result.argmax_k, profile, params,
-                                       cache=cache)
-    gap = -rep.residual
-    reports.append(CheckReport.make("inequality-tightness", gap,
+                                       result.argmax_k, profile, params)
+    reports.append(CheckReport.make("inequality-tightness", -rep.residual,
                                     TIGHTNESS_GAP, k=result.argmax_k,
                                     Lambda=result.Lambda))
     return reports
 
 
 def monotone_suite(profile: DensityProfile, params: PhysicalParams,
-                   k: float = 1.0, n_branches: int = 4,
+                   n_branches: int = 4,
                    n_elements: int = 64) -> list[CheckReport]:
     mesh = build_mesh(profile.a, n_elements)
     _, cap = char_length(profile, params.g)
     if cap == 0.0:
         return [CheckReport.make("monotone (vacuous: stable profile)", 0.0, 0.0)]
     grid = np.geomspace(MONOTONE_GRID_FLOOR, cap, MONOTONE_GRID_POINTS)
-    gam = _leading_gammas(mesh, profile, params, k, n_branches, grid)
-    return [_monotone_report(grid, gam[:, n - 1], k, n, quantity)
+    gam = _leading_gammas(mesh, profile, params, SUITE_K, n_branches, grid)
+    return [_monotone_report(grid, gam[:, n - 1], SUITE_K, n, quantity)
             for n in range(1, n_branches + 1)
             for quantity in ("gamma", "rate-ratio")]
 
 
 def convergence_suite(profile: DensityProfile, params: PhysicalParams,
-                      k: float = 1.0,
                       settings: SolverSettings = SolverSettings()) -> list[CheckReport]:
-    """Self-convergence of the leading rate and decrease of the energy defect."""
-    reports = []
-    solved = {}
+    """Self-convergence of the leading rate and decrease of the energy
+    defect; each mode is built while its mesh's forms are cached."""
+    rates, residuals = {}, {}
     for n_el in (32, 64, 128):
         mesh = build_mesh(profile.a, n_el)
-        rec = solve_lambda_n(mesh, profile, params, k, 1, settings)
+        rec = solve_lambda_n(mesh, profile, params, SUITE_K, 1, settings)
         if not rec.converged:
             if char_length(profile, params.g)[1] == 0.0:
                 return [CheckReport.make("convergence (vacuous: stable "
@@ -399,24 +386,19 @@ def convergence_suite(profile: DensityProfile, params: PhysicalParams,
             return [CheckReport.make(
                 f"convergence (solve not converged: {rec.reason})",
                 math.inf, 1e-6)]
-        solved[n_el] = mesh, rec
-    lam64, lam128 = solved[64][1].lambda_n, solved[128][1].lambda_n
-    rel = abs(lam64 - lam128) / lam128
-    reports.append(CheckReport.make("convergence lambda1 64-vs-128", rel, 1e-6,
-                                    k=k))
+        mode = build_normal_mode(mesh, profile, params, (SUITE_K, 0.0), 1,
+                                 settings, record=rec)
+        rates[n_el] = rec.lambda_n
+        residuals[n_el] = energy_identity_residual(mode).residual
+    rel = abs(rates[64] - rates[128]) / rates[128]
     # A discrete mode satisfies its own weak energy balance identically, so
     # the defect sits at eigensolver-noise level at every resolution and
     # monotone decrease is unobservable; assert the noise floor instead.
-    residuals = {}
-    for n_el, (mesh, rec) in solved.items():
-        mode = build_normal_mode(mesh, profile, params, (k, 0.0), 1, settings,
-                                 record=rec)
-        residuals[n_el] = energy_identity_residual(mode).residual
-    reports.append(CheckReport.make("convergence energy-defect floor",
-                                    max(residuals.values()), 1e-8,
-                                    **{str(m): r for m, r
-                                       in residuals.items()}))
-    return reports
+    return [CheckReport.make("convergence lambda1 64-vs-128", rel, 1e-6,
+                             k=SUITE_K),
+            CheckReport.make("convergence energy-defect floor",
+                             max(residuals.values()), 1e-8,
+                             **{str(m): r for m, r in residuals.items()})]
 
 
 SUITES = ("appendixD", "energy", "inequality", "monotone", "convergence", "all")
@@ -425,21 +407,17 @@ SUITES = ("appendixD", "energy", "inequality", "monotone", "convergence", "all")
 def run_suite(name: str, profile: DensityProfile, params: PhysicalParams,
               seed: int = 0, Kmax: float = 8.0,
               settings: SolverSettings = SolverSettings()) -> list[CheckReport]:
-    if name not in SUITES:
+    suites = {
+        "appendixD": lambda: appendix_d_suite(a=profile.a),
+        "energy": lambda: energy_suite(profile, params),
+        "inequality": lambda: inequality_suite(profile, params, seed=seed,
+                                               Kmax=Kmax, settings=settings),
+        "monotone": lambda: monotone_suite(profile, params),
+        "convergence": lambda: convergence_suite(profile, params,
+                                                 settings=settings),
+    }
+    if name == "all":
+        return [rep for suite in suites.values() for rep in suite()]
+    if name not in suites:
         raise ConfigError(f"unknown verify suite {name!r}; choose from {SUITES}")
-    if name == "appendixD":
-        return appendix_d_suite(a=profile.a)
-    if name == "energy":
-        return energy_suite(profile, params)
-    if name == "inequality":
-        return inequality_suite(profile, params, seed=seed, Kmax=Kmax,
-                                settings=settings)
-    if name == "monotone":
-        return monotone_suite(profile, params)
-    if name == "convergence":
-        return convergence_suite(profile, params, settings=settings)
-    reports = []
-    for suite in SUITES[:-1]:
-        reports.extend(run_suite(suite, profile, params, seed=seed, Kmax=Kmax,
-                                 settings=settings))
-    return reports
+    return suites[name]()

@@ -78,12 +78,11 @@ def test_c02_coercivity_bound(profile, params, mesh64, growth_cap):
 
 def test_c03_fixed_point_residuals(sweep, mesh64, profile, params):
     records, _ = sweep
-    cache = rt.FormCache(mesh64, profile)
     worst = 0.0
     for rec in records:
         if not rec.converged:
             continue
-        rep = rt.fixed_point_residual(mesh64, profile, params, rec, cache=cache)
+        rep = rt.fixed_point_residual(mesh64, profile, params, rec)
         worst = max(worst, rep.residual)
     ok = worst <= 1e-8
     report("3", ok, f"worst recomputed fixed-point residual = {worst:.2e}")
@@ -146,7 +145,6 @@ def test_c07_maximal_growth_inequality(profile, params, mesh64, lattice_max):
     # and checked in blocks against one shared quadrature table
     rng = np.random.default_rng(0)
     ks = rt.lattice_magnitudes(params.L1, params.L2, 8.0)[:5]
-    cache = rt.FormCache(mesh64, profile)
     violations = 0
     worst = -math.inf
     for k in ks:
@@ -154,7 +152,7 @@ def test_c07_maximal_growth_inequality(profile, params, mesh64, lattice_max):
             block = _random_trials(mesh64, float(k), rng,
                                    min(_TRIAL_BLOCK, 1000 - start))
             res = _inequality_residuals(lattice_max.Lambda, block, float(k),
-                                        profile, params, cache)
+                                        profile, params)
             worst = max(worst, res.max())
             violations += int(np.count_nonzero(~(res <= INEQUALITY_SLACK)))
     ok = violations == 0
@@ -187,14 +185,12 @@ def test_c08_gamma_monotonicity(profile, params, mesh64, growth_cap):
     k, n_branches = 1.0, 4
     gk2 = params.g * k * k
     grid = np.geomspace(1e-3, growth_cap, 20)
-    cache = rt.FormCache(mesh64, profile)
     surface = np.zeros(mesh64.dof_count)
     surface[-2] = 1.0  # the surface value DOF
     surface_form = profile.rho_plus * np.outer(surface, surface)
     solver, counted = [], []
     for lam in grid:
-        pencil = rt.assemble_B(mesh64, profile, params, k, float(lam),
-                               cache=cache)
+        pencil = rt.assemble_B(mesh64, profile, params, k, float(lam))
         moved = dataclasses.replace(
             pencil,
             K=pencil.K - gk2 / lam * surface_form,

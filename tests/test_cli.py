@@ -341,8 +341,9 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# Inputs that once ended in a traceback and exit code 1: (config file
-# contents, or a path kind for --config, and the command line).
+# Inputs that once ended in a traceback and exit code 1, or in numpy
+# warnings: (config file contents, or a path kind for --config, and the
+# command line).
 _BAD_INPUTS = {
     "negative-seed": (b"seed = -1\n", ["verify", "--suite", "inequality"]),
     "missing-config": ("missing", ["lambda-max"]),
@@ -371,6 +372,23 @@ _BAD_INPUTS = {
     "tiny-depth": (b"profile.a = 1e-300\n", ["lambda-max"]),
     "mode-k-next-to-zero": (None, ["mode", "--k1", "1e-300", "--k2", "0",
                                    "--out", "{tmp}/x.csv"]),
+    # Kmax * L1 overflows to inf
+    "lattice-span-overflows": (
+        b"lattice.Kmax = 1e300\nlattice.L1 = 1e300\nmesh.n_elements = 8\n",
+        ["lambda-max"]),
+    "lattice-span-overflows-verify": (
+        b"lattice.Kmax = 1e300\nlattice.L1 = 1e300\nmesh.n_elements = 8\n",
+        ["verify", "--suite", "inequality"]),
+    # the square of the bracket floor underflows
+    "tiny-gravity-dispersion": (
+        b"params.g = 1e-300\nmesh.n_elements = 8\n",
+        ["dispersion", "--k-min", "0.25", "--k-max", "4", "--n-k", "3",
+         "--out", "{tmp}/x.csv"]),
+    "tiny-gravity-lambda-max": (b"params.g = 1e-300\nmesh.n_elements = 8\n",
+                                ["lambda-max"]),
+    "tiny-gravity-mode": (b"params.g = 1e-300\nmesh.n_elements = 8\n",
+                          ["mode", "--k1", "1", "--k2", "0",
+                           "--out", "{tmp}/x.csv"]),
 }
 
 
@@ -407,6 +425,10 @@ _NUMERICAL_FAILURES = {
     "tiny-k-coarse-mesh": (b"mesh.n_elements = 8\n",
                            ["dispersion", "--k-min", "1e-300", "--k-max",
                             "1e-300", "--n-k", "1", "--out", "{tmp}/x.csv"]),
+    # the branch is there, but its rate lies below the bracket floor
+    "mode-rate-below-floor": (b"params.mu = 1e12\nmesh.n_elements = 16\n",
+                              ["mode", "--k1", "1", "--k2", "0",
+                               "--out", "{tmp}/x.csv"]),
 }
 
 
@@ -419,6 +441,49 @@ def test_numerical_failure_exits_4_with_one_line(tmp_path, case):
     code, _, err = _run(argv + ["--config", str(path)])
     assert code == 4
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+
+
+# Growth rates below the bracket floor fail their records, rather than
+# read as absent branches: (config file contents, command line).
+_RATE_BELOW_FLOOR = {
+    "dispersion-mu-1e12": (
+        b"params.mu = 1e12\nmesh.n_elements = 16\n",
+        ["dispersion", "--k-min", "0.25", "--k-max", "4", "--n-k", "3",
+         "--n-max", "2", "--out", "{tmp}/x.csv"]),
+    "dispersion-mu-1e10": (
+        b"params.mu = 1e10\nmesh.n_elements = 16\n",
+        ["dispersion", "--k-min", "0.25", "--k-max", "4", "--n-k", "3",
+         "--n-max", "2", "--out", "{tmp}/x.csv"]),
+    "lambda-max-mu-1e12": (b"params.mu = 1e12\nmesh.n_elements = 16\n",
+                           ["lambda-max"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RATE_BELOW_FLOOR))
+def test_rate_below_floor_exits_4_with_one_line(tmp_path, case):
+    config, argv = _RATE_BELOW_FLOOR[case]
+    path = tmp_path / "run.cfg"
+    path.write_bytes(config)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, _, err = _run(argv + ["--config", str(path)])
+    assert code == 4
+    assert len(err.splitlines()) == 1 and "failed to converge" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--k-min", "0.25", "--k-max", "4", "--n-k", "3",
+     "--n-max", "2", "--out", "{tmp}/x.csv"],
+    ["lambda-max"],
+    ["mode", "--k1", "1", "--k2", "0", "--out", "{tmp}/x.csv"],
+], ids=["dispersion", "lambda-max", "mode"])
+def test_huge_surface_density_is_solved_quietly(tmp_path, argv):
+    # g k^2 rho+ / lam overflows near the bracket floor
+    path = tmp_path / "run.cfg"
+    path.write_text("profile.rho_plus = 1e300\nmesh.n_elements = 8\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, _, err = _run(argv + ["--config", str(path)])
+    assert (code, err) == (0, "")
 
 
 _BAD_VALUES = ("0", "-1", "-2.5", "inf", "-inf", "nan", "many", "1e", "",
@@ -464,6 +529,7 @@ def cli_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(config=_config_texts, argv=_command_lines)
 def test_cli_exit_codes_on_drawn_input(cli_dir, config, argv):

@@ -260,3 +260,27 @@ def test_quadrature_values_match_hermite_evaluation(n_elements):
             expected = f(x, m)
             assert np.abs(values[m, :, col] - expected).max() <= (
                 1e-13 * np.abs(expected).max())
+
+
+def test_form_cache_is_one_per_mesh_and_profile(profile):
+    mesh = rt.build_mesh(1.0, 8)
+    assert rt.form_cache(mesh, profile) is rt.form_cache(mesh, profile)
+
+
+def test_form_cache_keeps_only_the_last_mesh_and_profile(profile,
+                                                         quintic_profile):
+    mesh = rt.build_mesh(1.0, 8)
+    first = rt.form_cache(mesh, profile)
+    # meshes compare by identity: a new mesh of the same size is a new key
+    other = rt.form_cache(rt.build_mesh(1.0, 8), profile)
+    assert other is not first and other.mesh is not mesh
+    assert rt.form_cache(mesh, quintic_profile).profile is quintic_profile
+    assert rt.form_cache.cache_info().currsize == 1
+    assert rt.form_cache(mesh, profile) is not first
+
+
+def test_form_cache_arrays_are_read_only(profile):
+    cache = rt.form_cache(rt.build_mesh(1.0, 8), profile)
+    for array in (cache.wmass, *cache.interior(1.0), *cache.layer):
+        with pytest.raises(ValueError):
+            array[0] = 1.0

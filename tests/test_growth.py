@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rtspec as rt
-from rtspec import growth_solver
-from rtspec import spectral_core
+from rtspec import discretization, growth_solver, spectral_core
 from rtspec.errors import ConfigError
 from rtspec.growth_solver import (
     BRACKET_FLOOR,
     MAX_ITERATIONS,
+    MIN_GROWTH_CAP,
     NO_UNSTABLE_BRANCH,
+    RATE_BELOW_FLOOR,
 )
 from rtspec.spectral_core import (
     BranchEvaluation,
@@ -52,10 +53,9 @@ def test_leading_rate_cross_discretization(profile, params, mesh64, mesh128):
 
 def test_branches_decrease_and_stay_below_cap(profile, params, mesh64,
                                               growth_cap):
-    cache = rt.FormCache(mesh64, profile)
     lams = []
     for n in (1, 2, 3, 4):
-        rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, n, cache=cache)
+        rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, n)
         assert rec.converged
         assert 0.0 < rec.lambda_n < growth_cap
         assert rec.residual <= 1e-8 * rec.lambda_n
@@ -66,13 +66,12 @@ def test_branches_decrease_and_stay_below_cap(profile, params, mesh64,
 @pytest.mark.parametrize("n", [1, 2])
 def test_fixed_point_function_single_sign_change(profile, params, mesh64,
                                                  growth_cap, n):
-    cache = rt.FormCache(mesh64, profile)
     k = 1.0
     grid = np.geomspace(1e-12 * growth_cap, growth_cap, 50)
     signs = []
     for lam in grid:
-        g = gamma_values(rt.assemble_B(mesh64, profile, params, k, float(lam),
-                                       cache=cache), n)
+        g = gamma_values(rt.assemble_B(mesh64, profile, params, k, float(lam)),
+                         n)
         signs.append(np.sign(params.g * k * k * g[n - 1] - lam))
     changes = np.count_nonzero(np.diff(signs))
     assert changes == 1
@@ -93,9 +92,8 @@ def _assert_bracketed(mesh, profile, params, rec):
 
 def test_root_finder_converges_in_few_steps(profile, params, mesh64):
     # bisection to the default 1e-10 width takes 38-48 steps here
-    cache = rt.FormCache(mesh64, profile)
     for n in (1, 2, 3, 4):
-        rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, n, cache=cache)
+        rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, n)
         assert rec.converged
         assert rec.iterations <= 15
         _assert_bracketed(mesh64, profile, params, rec)
@@ -119,7 +117,7 @@ def _solve_synthetic(monkeypatch, mesh, profile, params, defect, slope):
 
     monkeypatch.setattr(growth_solver, "char_length", lambda prof, g: (1.0, 1.0))
     monkeypatch.setattr(growth_solver, "assemble_B",
-                        lambda mesh, prof, par, k, lam, cache=None: lam)
+                        lambda mesh, prof, par, k, lam: lam)
     monkeypatch.setattr(growth_solver, "gamma_values",
                         lambda lam, n: np.array([lam + defect(lam)]))
     monkeypatch.setattr(growth_solver, "branch_evaluation", evaluation)
@@ -221,6 +219,8 @@ def test_lattice_magnitudes_are_exact():
 def test_lattice_size_is_bounded():
     with pytest.raises(ConfigError, match="lattice points"):
         rt.lattice_magnitudes(1.0, 1.0, 1e7)
+    with pytest.raises(ConfigError, match="lattice points"):
+        rt.lattice_magnitudes(1e300, 1.0, 1e300)  # the span overflows to inf
     with pytest.raises(ConfigError, match="finite"):
         rt.lattice_magnitudes(1.0, 1.0, math.inf)
 
@@ -324,7 +324,7 @@ def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch):
             super().__init__(*args)
             caches.append(self)
 
-    monkeypatch.setattr(growth_solver, "FormCache", RecordedCache)
+    monkeypatch.setattr(discretization, "FormCache", RecordedCache)
     mesh = rt.build_mesh(1.0, 16)
     k_values = np.geomspace(0.25, 4.0, 50)
     rt.dispersion(mesh, profile, params, k_values, 1)
@@ -338,12 +338,11 @@ def test_fixed_point_function_is_smooth_near_the_root(profile, params, k,
                                                       n_elements):
     # eigh's own eigenvalues scatter by up to 1e-7 relative in this scan
     mesh = rt.build_mesh(profile.a, n_elements)
-    cache = rt.FormCache(mesh, profile)
-    root = rt.solve_lambda_n(mesh, profile, params, k, 1, cache=cache).lambda_n
+    root = rt.solve_lambda_n(mesh, profile, params, k, 1).lambda_n
     offsets = np.linspace(-1.0, 1.0, 13)
     ratio = []
     for lam in root * (1.0 + 1e-8 * offsets):
-        pencil = rt.assemble_B(mesh, profile, params, k, lam, cache=cache)
+        pencil = rt.assemble_B(mesh, profile, params, k, lam)
         gamma = branch_evaluation(pencil, 1).gamma
         ratio.append(params.g * k * k * gamma / lam - 1.0)
     fit = np.polyval(np.polyfit(offsets, ratio, 1), offsets)
@@ -366,12 +365,10 @@ def test_leading_rate_on_fine_mesh_matches_oracle(profile, params, k):
 
 
 def test_warm_and_dense_evaluations_agree(profile, params, mesh64):
-    cache = rt.FormCache(mesh64, profile)
     k = 1.0
-    start = dense_branches(rt.assemble_B(mesh64, profile, params, k, 0.05,
-                                         cache=cache), 4)
+    start = dense_branches(rt.assemble_B(mesh64, profile, params, k, 0.05), 4)
     for lam in (0.06, 0.09, 0.12):
-        pencil = rt.assemble_B(mesh64, profile, params, k, lam, cache=cache)
+        pencil = rt.assemble_B(mesh64, profile, params, k, lam)
         for n in (1, 2, 3, 4):
             warm = branch_evaluation(pencil, n, start[n - 1].block)
             dense = branch_evaluation(pencil, n)
@@ -407,3 +404,49 @@ def test_records_report_how_they_were_found(profile, params, mesh64,
     assert hi - lo <= settings_.tol_rel * hi
     assert stats.residual_rel == rec.residual / rec.lambda_n
     assert dataclasses.replace(rec, stats=None) == rec
+
+
+@pytest.mark.parametrize("mu, solved", [(1e12, set()),
+                                        (1e10, {(0.25, 1), (1.0, 1), (4.0, 1)})])
+def test_rate_below_floor_is_not_an_absent_branch(profile, mu, solved):
+    # both branches are present, and f <= 0 at the bracket floor: their
+    # rates lie below it (g k^2 gamma_1 is 7.5e-14 at k = 0.25 for mu = 1e12)
+    params = rt.PhysicalParams(mu=mu, g=1.0)
+    mesh = rt.build_mesh(1.0, 16)
+    floor = BRACKET_FLOOR * rt.char_length(profile, params.g)[1]
+    records = rt.dispersion(mesh, profile, params,
+                            np.geomspace(0.25, 4.0, 3), 2)
+    assert {(r.k, r.n) for r in records if r.converged} == solved
+    for rec in records:
+        if rec.converged:
+            continue
+        assert rec.reason == RATE_BELOW_FLOOR
+        assert math.isnan(rec.lambda_n)
+        gammas = gamma_values(rt.assemble_B(mesh, profile, params, rec.k,
+                                            floor), 2)
+        assert gammas.size == 2
+        assert 0.0 < params.g * rec.k**2 * gammas[rec.n - 1] <= floor
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_surface_weight_is_solved(params):
+    # at rho+ = 1e300 the surface weight g k^2 rho+ / lam of K overflows
+    # near the bracket floor; the rates there agree with rho+ = 1e250,
+    # where it does not, as both are in the limit of a heavy surface
+    mesh = rt.build_mesh(1.0, 8)
+    k_values = np.geomspace(0.25, 4.0, 3)
+    heavy, lighter = (
+        rt.dispersion(mesh, rt.DensityProfile(1.0, rho_plus, 1.0), params,
+                      k_values, 2)
+        for rho_plus in (1e300, 1e250))
+    for a, b in zip(heavy, lighter):
+        assert a.converged and b.converged
+        assert abs(a.lambda_n - b.lambda_n) <= 1e-9 * b.lambda_n
+
+
+def test_growth_cap_below_its_minimum_is_a_config_error(profile):
+    # the square of the bracket floor BRACKET_FLOOR * cap would underflow
+    params = rt.PhysicalParams(mu=1.0, g=1e-300)
+    assert 0.0 < rt.char_length(profile, params.g)[1] < MIN_GROWTH_CAP
+    with pytest.raises(ConfigError, match="growth-rate cap"):
+        rt.solve_lambda_n(rt.build_mesh(1.0, 8), profile, params, 1.0, 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rtspec as rt
+from rtspec import spectral_core
 from rtspec.discretization import ENDPOINT_DOFS, assemble_boundary_forms
 from rtspec.errors import CoercivityError
 from rtspec.spectral_core import (
@@ -50,7 +51,7 @@ def test_assemble_B_adds_endpoint_blocks_at_endpoint_dofs(profile, params,
     # endpoint block standing for the N x N matrix it is embedded in
     k, lam = 1.3, 0.2
     mesh = rt.build_mesh(profile.a, n_elements)
-    cache = rt.FormCache(mesh, profile)
+    cache = rt.form_cache(mesh, profile)
     h2, wgrad = cache.interior(k)
     embedded = []
     for form in assemble_boundary_forms(k, lam, params, profile):
@@ -58,7 +59,7 @@ def test_assemble_B_adds_endpoint_blocks_at_endpoint_dofs(profile, params,
         full[np.ix_(ENDPOINT_DOFS, ENDPOINT_DOFS)] = form
         embedded.append(full)
     expected = lam * wgrad + params.mu * h2 + embedded[0] + embedded[1]
-    pencil = rt.assemble_B(mesh, profile, params, k, lam, cache=cache)
+    pencil = rt.assemble_B(mesh, profile, params, k, lam)
     assert np.array_equal(pencil.K, expected)
     assert pencil.Mw is cache.wmass
 
@@ -73,10 +74,9 @@ def test_degenerate_profile_keeps_operator_spd(degenerate_profile, params,
 def test_rate_dependence_is_gradient_form_plus_boundary(profile, params,
                                                         mesh64):
     lam1, lam2, k = 0.2, 0.7, 1.0
-    cache = rt.FormCache(mesh64, profile)
-    k1 = rt.assemble_B(mesh64, profile, params, k, lam1, cache=cache).K
-    k2 = rt.assemble_B(mesh64, profile, params, k, lam2, cache=cache).K
-    wgrad = cache.interior(k)[1]
+    k1 = rt.assemble_B(mesh64, profile, params, k, lam1).K
+    k2 = rt.assemble_B(mesh64, profile, params, k, lam2).K
+    wgrad = rt.form_cache(mesh64, profile).interior(k)[1]
     interior = np.ones(mesh64.dof_count, bool)
     interior[[0, 1, -2, -1]] = False
     diff = (k2 - k1)[np.ix_(interior, interior)]
@@ -122,10 +122,8 @@ def test_branch_evaluation_against_dense_pencil(profile, params, mesh64, k):
     # the refined gammas are the pencil's eigenvalues (to the noise of the
     # dense eigenvalues, 2.4e-8 at k = 0.3 and lam = 1e-4), and their slopes
     # the central differences of the refined gammas
-    cache = rt.FormCache(mesh64, profile)
-
     def evaluation(lam):
-        pencil = rt.assemble_B(mesh64, profile, params, k, lam, cache=cache)
+        pencil = rt.assemble_B(mesh64, profile, params, k, lam)
         branches = dense_branches(pencil, 4)
         gammas = np.array([ev.gamma for ev in branches])
         subset = [branch_evaluation(pencil, n).gamma
@@ -257,8 +255,9 @@ class IndefiniteH2Cache(rt.FormCache):
 @pytest.mark.parametrize("n_elements", [64, 128])
 @pytest.mark.parametrize("variant", ["negated", "outer-band"])
 def test_assemble_B_rejects_indefinite_operator(profile, params, n_elements,
-                                                variant):
+                                                variant, monkeypatch):
     mesh = rt.build_mesh(profile.a, n_elements)
     cache = IndefiniteH2Cache(mesh, profile, variant)
+    monkeypatch.setattr(spectral_core, "form_cache", lambda *args: cache)
     with pytest.raises(CoercivityError):
-        rt.assemble_B(mesh, profile, params, 1.0, 0.5, cache=cache)
+        rt.assemble_B(mesh, profile, params, 1.0, 0.5)

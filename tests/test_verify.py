@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rtspec as rt
+from rtspec import discretization
 from rtspec.discretization import quadrature
 from rtspec.errors import ConfigError
 from rtspec.verify import (
@@ -157,14 +158,14 @@ def _pointwise_inequality_residual(Lambda, trial, k, profile, params):
 def test_inequality_cache_matches_pointwise_formula(profile, params, mesh64,
                                                     lattice_max):
     Lambda, k_star = lattice_max.Lambda, lattice_max.argmax_k
-    cache = rt.FormCache(mesh64, profile)
     rng = np.random.default_rng(7)
     cases = [(rt.random_trial(mesh64, 1.0, rng), 1.0) for _ in range(20)]
     mode = rt.build_normal_mode(mesh64, profile, params, (k_star, 0.0), 1)
     cases.append((TrialFunction.from_mode(mode), k_star))
     for trial, k in cases:
         shared = rt.check_variational_inequality(Lambda, trial, k, profile,
-                                                 params, cache=cache)
+                                                 params)
+        rt.form_cache.cache_clear()  # the forms are assembled anew
         fresh = rt.check_variational_inequality(Lambda, trial, k, profile,
                                                 params)
         assert shared.residual == fresh.residual
@@ -216,12 +217,10 @@ def test_trial_block_columns_are_the_single_trials(mesh64):
 def test_block_residuals_match_single_checks(profile, params, mesh64,
                                              lattice_max):
     Lambda = lattice_max.Lambda
-    cache = rt.FormCache(mesh64, profile)
     for k in (1.0, 2.0):
         seed = int(10 * k)
         block = _random_trials(mesh64, k, np.random.default_rng(seed), 40)
-        residuals = _inequality_residuals(Lambda, block, k, profile, params,
-                                          cache)
+        residuals = _inequality_residuals(Lambda, block, k, profile, params)
         assert residuals.shape == (40,)
         rng = np.random.default_rng(seed)
         for res in residuals:
@@ -233,7 +232,7 @@ def test_block_residuals_match_single_checks(profile, params, mesh64,
             assert abs(res - single.residual) <= 1e-12 * max(1.0, abs(res))
             assert abs(res - expected) <= 1e-12 * max(1.0, abs(expected))
         rep = rt.check_variational_inequality(Lambda, block, k, profile,
-                                              params, cache=cache)
+                                              params)
         assert rep.residual == residuals.max()
         assert rep.passed
 
@@ -276,13 +275,12 @@ def test_monotone_suite_solves_one_pencil_per_rate(profile, params, mesh64,
 
 
 def test_fixed_point_residual_shares_a_cache(profile, params, mesh64):
-    cache = rt.FormCache(mesh64, profile)
     for n in (1, 2):
         rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, n)
-        shared = rt.fixed_point_residual(mesh64, profile, params, rec,
-                                         cache=cache)
+        shared = rt.fixed_point_residual(mesh64, profile, params, rec)
+        rt.form_cache.cache_clear()  # the forms are assembled anew
         assert shared == rt.fixed_point_residual(mesh64, profile, params, rec)
-    assert cache.__dict__.get("wmass") is not None
+    assert rt.form_cache(mesh64, profile).__dict__.get("wmass") is not None
 
 
 def test_appendix_d_suite_passes():
@@ -294,6 +292,21 @@ def test_appendix_d_suite_passes():
 def test_convergence_suite_passes(profile, params):
     reports = convergence_suite(profile, params)
     assert all(rep.passed for rep in reports)
+
+
+def test_convergence_suite_assembles_each_mass_once(profile, params,
+                                                    monkeypatch):
+    # each resolution's mode is built while its mesh's forms are cached
+    assembled = []
+    assemble = discretization.assemble_weighted_mass
+
+    def counted(mesh, prof):
+        assembled.append(mesh.n_elements)
+        return assemble(mesh, prof)
+
+    monkeypatch.setattr(discretization, "assemble_weighted_mass", counted)
+    convergence_suite(profile, params)
+    assert assembled == [32, 64, 128]
 
 
 def test_monotone_suite_shape(profile, params):
