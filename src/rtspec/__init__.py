@@ -12,12 +12,8 @@ from .spectral_core import (
     PencilAssembly,
     SpectrumResult,
     assemble_B,
-    boundary_quotient_spectrum,
-    coercivity_bound,
-    coercivity_ratio,
     gamma_spectrum,
     gamma_values,
-    quotient_stationary_values,
 )
 from .growth_solver import (
     GrowthRecord,
@@ -45,10 +41,14 @@ from .modes import (
 from .verify import (
     CheckReport,
     TrialFunction,
+    boundary_quotient_spectrum,
     check_variational_inequality,
+    coercivity_bound,
+    coercivity_ratio,
     energy_identity_residual,
     fixed_point_residual,
     monotonicity_probe,
+    quotient_stationary_values,
     random_trial,
     run_suite,
 )
@@ -64,9 +64,7 @@ __all__ = [
     "DensityProfile", "PhysicalParams", "char_length",
     "Mesh", "build_mesh", "HermiteFunction", "FormCache", "form_cache",
     "PencilAssembly", "SpectrumResult",
-    "assemble_B", "boundary_quotient_spectrum", "coercivity_bound",
-    "coercivity_ratio", "gamma_spectrum", "gamma_values",
-    "quotient_stationary_values",
+    "assemble_B", "gamma_spectrum", "gamma_values",
     "GrowthRecord", "LambdaMaxResult", "SolverSettings",
     "dispersion", "lambda_max", "lattice_magnitudes",
     "refinement_agreement", "solve_lambda_n",
@@ -77,6 +75,8 @@ __all__ = [
     "CheckReport", "TrialFunction", "check_variational_inequality",
     "energy_identity_residual", "fixed_point_residual",
     "monotonicity_probe", "random_trial", "run_suite",
+    "boundary_quotient_spectrum", "coercivity_bound", "coercivity_ratio",
+    "quotient_stationary_values",
     "RunConfig", "load_config",
     "ConfigError", "CoercivityError", "NoUnstableBranchError", "NumericalError",
 ]

@@ -125,9 +125,9 @@ def cmd_mode(config: RunConfig, args) -> int:
     if not math.hypot(args.k1, args.k2) * mesh.a <= MAX_KA:
         raise ConfigError(f"require |k| <= {MAX_KA:g} / profile.a")
     mode = build_normal_mode(mesh, profile, params, (args.k1, args.k2), args.n,
-                             config.solver_settings(),
-                             domain_factor=config["modes.domain_factor"])
-    header, rows = mode_table(mode, samples=config["modes.samples"])
+                             config.solver_settings())
+    header, rows = mode_table(mode, samples=config["modes.samples"],
+                              domain_factor=config["modes.domain_factor"])
     lines = [f"# {key} = {_fmt(v) if isinstance(v, float) else v}"
              for key, v in header.items()]
     lines.append(",".join(MODE_COLUMNS))

@@ -66,8 +66,7 @@ class RunConfig:
 
     def solver_settings(self) -> SolverSettings:
         return SolverSettings(tol_rel=self["solver.tol_rel"],
-                              max_iter=self["solver.max_iter"],
-                              n_max=self["solver.n_max"])
+                              max_iter=self["solver.max_iter"])
 
     def echo_lines(self) -> list[str]:
         """Resolved key/value lines for embedding in output files."""
@@ -100,9 +99,8 @@ def _validate(table: dict[str, object]) -> None:
             raise ConfigError(f"config key {key!r} must be positive, got {value}")
 
 
-def load_config(path: str | Path | None = None,
-                overrides: dict[str, object] | None = None) -> RunConfig:
-    """Defaults, then file values, then explicit overrides; strict keys."""
+def load_config(path: str | Path | None = None) -> RunConfig:
+    """Defaults, then file values; strict keys."""
     table = dict(_DEFAULTS)
     if path is not None:
         try:
@@ -120,10 +118,6 @@ def load_config(path: str | Path | None = None,
             if key not in _DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             table[key] = _coerce(key, raw)
-    for key, value in (overrides or {}).items():
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        table[key] = value
     _validate(table)
     config = RunConfig(values=tuple((k, table[k]) for k in _DEFAULTS))
     config.profile()

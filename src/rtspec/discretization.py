@@ -151,11 +151,9 @@ def quadrature_values(mesh: Mesh, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _scatter(mesh: Mesh, local: np.ndarray) -> np.ndarray:
-    """Accumulate per-element 4x4 blocks into the global matrix."""
+    """Accumulate (n_elements, 4, 4) element blocks into the global matrix."""
     dofs = mesh.element_dofs
     full = np.zeros((mesh.dof_count, mesh.dof_count))
-    if local.ndim == 2:
-        local = np.broadcast_to(local, (mesh.n_elements, 4, 4))
     np.add.at(full, (dofs[:, :, None], dofs[:, None, :]), local)
     return 0.5 * (full + full.T)
 

@@ -54,15 +54,12 @@ MAX_LATTICE_POINTS = 1_000_000
 class SolverSettings:
     tol_rel: float = 1e-10
     max_iter: int = 200
-    n_max: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol_rel < 1e-2:
             raise ConfigError("solver.tol_rel must lie in (0, 1e-2)")
         if self.max_iter < 10:
             raise ConfigError("solver.max_iter must be at least 10")
-        if self.n_max < 1:
-            raise ConfigError("solver.n_max must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -47,16 +47,11 @@ def outer_coefficients(phi_at_a: float, dphi_at_a: float, k: float,
 
 @dataclass(frozen=True, eq=False)
 class HorizontalAmplitude:
-    """Horizontal-velocity amplitude w = -k_component phi' / k^2 on x <= 0.
-
-    ``depth`` is that of the sampled interval [-a - domain_factor/k, 0]
-    (rounded up to the interior element width); the closed form itself
-    holds on the whole half line.
-    """
+    """Horizontal-velocity amplitude w = -k_component phi' / k^2 on x <= 0,
+    in closed form on the whole half line."""
 
     phi: Callable
     factor: float
-    depth: float
 
     def __call__(self, x, deriv: int = 0):
         """Value (or x-derivative up to order 2) at points x <= 0."""
@@ -65,10 +60,8 @@ class HorizontalAmplitude:
         return self.factor * self.phi(x, deriv + 1)
 
 
-def horizontal_velocity(phi: Callable, k_component: float, k: float,
-                        interior_mesh: Mesh,
-                        domain_factor: float = DEFAULT_DOMAIN_FACTOR
-                        ) -> HorizontalAmplitude:
+def horizontal_velocity(phi: Callable, k_component: float,
+                        k: float) -> HorizontalAmplitude:
     """Horizontal amplitude for wavenumber component k_component.
 
     Incompressibility k1 psi + k2 varphi + phi' = 0 gives w = -k_component
@@ -76,13 +69,9 @@ def horizontal_velocity(phi: Callable, k_component: float, k: float,
     solves -mu w'' + (lam rho0 + mu k^2) w = k_component * pressure
     identically, on the layer and on the tail.  Its slope at the surface
     is k_component * phi(0) because phi''(0) + k^2 phi(0) = 0 holds in the
-    trial space.  ``phi`` is the vertical amplitude, called as phi(x, deriv);
-    domain_factor only sets ``depth``.
+    trial space.  ``phi`` is the vertical amplitude, called as phi(x, deriv).
     """
-    h = interior_mesh.h
-    n_out = max(2, math.ceil(domain_factor / (k * h)))
-    return HorizontalAmplitude(phi=phi, factor=-k_component / k**2,
-                               depth=interior_mesh.a + n_out * h)
+    return HorizontalAmplitude(phi=phi, factor=-k_component / k**2)
 
 
 # -- the assembled mode -------------------------------------------------------
@@ -166,7 +155,6 @@ class NormalMode:
 def build_normal_mode(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                       k_vec: tuple[float, float], n: int,
                       settings: SolverSettings = SolverSettings(),
-                      domain_factor: float = DEFAULT_DOMAIN_FACTOR,
                       record: GrowthRecord | None = None) -> NormalMode:
     """Assemble the full mode for lattice wavenumber k_vec and branch n."""
     k1, k2 = float(k_vec[0]), float(k_vec[1])
@@ -199,8 +187,8 @@ def build_normal_mode(mesh: Mesh, profile: DensityProfile, params: PhysicalParam
                          psi=None, varphi=None, record=record)
     return replace(
         partial,
-        psi=horizontal_velocity(partial.phi, k1, k, mesh, domain_factor),
-        varphi=horizontal_velocity(partial.phi, k2, k, mesh, domain_factor))
+        psi=horizontal_velocity(partial.phi, k1, k),
+        varphi=horizontal_velocity(partial.phi, k2, k))
 
 
 @dataclass(frozen=True)
@@ -293,14 +281,22 @@ def surface_l2(series: SurfaceSeries) -> float:
 MODE_COLUMNS = ("x3", "phi", "dphi", "psi", "varphi", "pi", "omega")
 
 
-def mode_table(mode: NormalMode, samples: int = DEFAULT_SAMPLES) -> tuple[dict, np.ndarray]:
-    """Header fields and sampled profile rows for mode-file emission."""
+def mode_table(mode: NormalMode, samples: int = DEFAULT_SAMPLES,
+               domain_factor: float = DEFAULT_DOMAIN_FACTOR
+               ) -> tuple[dict, np.ndarray]:
+    """Header fields and sampled profile rows for mode-file emission.
+
+    The rows reach max(2, ceil(domain_factor / (k h))) element widths h
+    below the layer, where the profiles are closed forms.
+    """
     header = {
         "k1": mode.k_vec[0], "k2": mode.k_vec[1], "n": mode.n,
         "lambda": mode.lambda_n, "A1": mode.A1, "A2": mode.A2,
         "tau_minus": mode.tau_minus, "nu": mode.nu,
     }
-    x = np.linspace(-mode.psi.depth, 0.0, samples)
+    h = mode.mesh.h
+    depth = mode.mesh.a + max(2, math.ceil(domain_factor / (mode.k * h))) * h
+    x = np.linspace(-depth, 0.0, samples)
     rows = np.column_stack([
         x,
         mode.phi(x),

@@ -28,7 +28,6 @@ mesh and profile shares.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,6 @@ from .discretization import (
     FormCache,
     Mesh,
     assemble_boundary_forms,
-    assemble_h2_form,
-    boundary_quotient_form,
     form_cache,
     quadrature_values,
     tau_decay,
@@ -148,7 +145,7 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     forms are symmetrized on scatter and the endpoint blocks are symmetric
     by construction.  The banded Cholesky of K's lower band is the only
     definiteness check of the full K: ``eigh`` factors the
-    moment-constrained K, and ``coercivity_ratio`` factors H2.
+    moment-constrained K.
     """
     cache = form_cache(mesh, profile)
     h2, wgrad = cache.interior(k)
@@ -378,48 +375,3 @@ def dense_branches(pencil: PencilAssembly, n: int) -> list[BranchEvaluation]:
     vals, vecs = _dense_pairs(pencil)
     return [_evaluation(pencil, m, vals, vecs)
             for m in range(1, min(n, _positive_count(vals)) + 1)]
-
-
-def boundary_quotient_spectrum(mesh: Mesh, k: float) -> np.ndarray:
-    """Nonzero stationary values of the endpoint quotient, sorted decreasing.
-
-    These are the eigenvalues of the rank-4 pencil BDRYQ x = beta H2 x; at
-    most four exceed 1e-10 in magnitude.  Closed forms exist: 1 (twice)
-    and two negative values determined by sinh(ka) and ka.
-    """
-    q = np.zeros((mesh.dof_count, mesh.dof_count))
-    q[_ENDPOINT_BLOCK] = boundary_quotient_form(k)
-    vals = sla.eigh(q, assemble_h2_form(mesh, k), eigvals_only=True)
-    vals = vals[np.abs(vals) > 1e-10]
-    return np.sort(vals)[::-1]
-
-
-def coercivity_ratio(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
-                     k: float, lam: float) -> float:
-    """Smallest eigenvalue of (K/mu) x = r H2 x.
-
-    Bounded below by 2(sinh(ka) - ka)/(3 sinh(ka) - ka) uniformly in the
-    rate and in the stratification shape.
-    """
-    pencil = assemble_B(mesh, profile, params, k, lam)
-    vals = sla.eigh(pencil.K / params.mu, pencil.cache.interior(k)[0],
-                    eigvals_only=True, subset_by_index=(0, 0))
-    return float(vals[0])
-
-
-def coercivity_bound(ka: float) -> float:
-    """Closed-form lower bound 2(sinh(ka) - ka)/(3 sinh(ka) - ka)."""
-    s = math.sinh(ka)
-    return 2.0 * (s - ka) / (3.0 * s - ka)
-
-
-def quotient_stationary_values(ka: float) -> np.ndarray:
-    """Closed-form stationary values of the endpoint quotient, decreasing.
-
-    1 has multiplicity two; the remaining two roots are
-    -(sinh(ka) - ka)/(3 sinh(ka) + ka) and -(sinh(ka) + ka)/(3 sinh(ka) - ka).
-    """
-    s = math.sinh(ka)
-    return np.array([1.0, 1.0,
-                     -(s - ka) / (3.0 * s + ka),
-                     -(s + ka) / (3.0 * s - ka)])

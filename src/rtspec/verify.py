@@ -1,4 +1,5 @@
-"""Numerical verification of the identities the solver is built on.
+"""Numerical verification of the identities the solver is built on, and
+the closed forms (Appendix D, the coercivity bound) it is checked against.
 
 Each check returns a CheckReport with a scalar residual and a tolerance;
 pass means residual <= tolerance.  Interior integrals are quadrature sums
@@ -12,8 +13,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
-from .discretization import Mesh, build_mesh, form_cache, quadrature_values
+from .discretization import (
+    ENDPOINT_DOFS,
+    Mesh,
+    assemble_h2_form,
+    boundary_quotient_form,
+    build_mesh,
+    form_cache,
+    quadrature_values,
+)
 from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError
 from .growth_solver import (
@@ -25,13 +35,7 @@ from .growth_solver import (
     solve_lambda_n,
 )
 from .modes import NormalMode, build_normal_mode
-from .spectral_core import (
-    assemble_B,
-    boundary_quotient_spectrum,
-    branch_evaluation,
-    gamma_values,
-    quotient_stationary_values,
-)
+from .spectral_core import assemble_B, branch_evaluation, gamma_values
 
 ENERGY_RTOL = 1e-5
 INEQUALITY_SLACK = 1e-6
@@ -59,6 +63,53 @@ class CheckReport:
         status = "pass" if self.passed else "FAIL"
         return (f"{self.name:<38s} residual={self.residual: .6e} "
                 f"tolerance={self.tolerance: .6e} {status}")
+
+
+# -- closed forms of the operator method ---------------------------------------
+
+def boundary_quotient_spectrum(mesh: Mesh, k: float) -> np.ndarray:
+    """Nonzero stationary values of the endpoint quotient, sorted decreasing.
+
+    These are the eigenvalues of the rank-4 pencil BDRYQ x = beta H2 x; at
+    most four exceed 1e-10 in magnitude.  Closed forms exist: 1 (twice)
+    and two negative values determined by sinh(ka) and ka.
+    """
+    q = np.zeros((mesh.dof_count, mesh.dof_count))
+    q[np.ix_(ENDPOINT_DOFS, ENDPOINT_DOFS)] = boundary_quotient_form(k)
+    vals = sla.eigh(q, assemble_h2_form(mesh, k), eigvals_only=True)
+    vals = vals[np.abs(vals) > 1e-10]
+    return np.sort(vals)[::-1]
+
+
+def coercivity_ratio(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
+                     k: float, lam: float) -> float:
+    """Smallest eigenvalue of (K/mu) x = r H2 x.
+
+    Bounded below by 2(sinh(ka) - ka)/(3 sinh(ka) - ka) uniformly in the
+    rate and in the stratification shape.
+    """
+    pencil = assemble_B(mesh, profile, params, k, lam)
+    vals = sla.eigh(pencil.K / params.mu, pencil.cache.interior(k)[0],
+                    eigvals_only=True, subset_by_index=(0, 0))
+    return float(vals[0])
+
+
+def coercivity_bound(ka: float) -> float:
+    """Closed-form lower bound 2(sinh(ka) - ka)/(3 sinh(ka) - ka)."""
+    s = math.sinh(ka)
+    return 2.0 * (s - ka) / (3.0 * s - ka)
+
+
+def quotient_stationary_values(ka: float) -> np.ndarray:
+    """Closed-form stationary values of the endpoint quotient, decreasing.
+
+    1 has multiplicity two; the remaining two roots are
+    -(sinh(ka) - ka)/(3 sinh(ka) + ka) and -(sinh(ka) + ka)/(3 sinh(ka) - ka).
+    """
+    s = math.sinh(ka)
+    return np.array([1.0, 1.0,
+                     -(s - ka) / (3.0 * s + ka),
+                     -(s + ka) / (3.0 * s - ka)])
 
 
 # -- closed-form tail integrals ------------------------------------------------
@@ -283,6 +334,7 @@ def monotonicity_probe(mesh: Mesh, profile: DensityProfile,
 
 # -- suites ---------------------------------------------------------------------
 
+# Lowest monotone grid rate, times the cap if the cap is below 1.
 MONOTONE_GRID_FLOOR = 1e-3
 MONOTONE_GRID_POINTS = 20
 
@@ -306,10 +358,24 @@ def appendix_d_suite(a: float = 1.0,
     return reports
 
 
-def energy_suite(profile: DensityProfile,
-                 params: PhysicalParams) -> list[CheckReport]:
+def _unsolved_report(suite: str, record: GrowthRecord, profile: DensityProfile,
+                     params: PhysicalParams, tolerance: float) -> CheckReport:
+    """The one row of a suite whose growth solve did not converge: vacuous
+    for a stable profile, else an infinite residual that names the reason."""
+    if char_length(profile, params.g)[1] == 0.0:
+        return CheckReport.make(f"{suite} (vacuous: stable profile)", 0.0, 0.0)
+    return CheckReport.make(f"{suite} (solve not converged: {record.reason})",
+                            math.inf, tolerance)
+
+
+def energy_suite(profile: DensityProfile, params: PhysicalParams,
+                 settings: SolverSettings = SolverSettings()) -> list[CheckReport]:
     mesh = build_mesh(profile.a, 128)
-    mode = build_normal_mode(mesh, profile, params, (SUITE_K, 0.0), 1)
+    rec = solve_lambda_n(mesh, profile, params, SUITE_K, 1, settings)
+    if not rec.converged:
+        return [_unsolved_report("energy", rec, profile, params, ENERGY_RTOL)]
+    mode = build_normal_mode(mesh, profile, params, (SUITE_K, 0.0), 1,
+                             settings, record=rec)
     return [energy_identity_residual(mode)]
 
 
@@ -364,7 +430,8 @@ def monotone_suite(profile: DensityProfile, params: PhysicalParams,
     _, cap = char_length(profile, params.g)
     if cap == 0.0:
         return [CheckReport.make("monotone (vacuous: stable profile)", 0.0, 0.0)]
-    grid = np.geomspace(MONOTONE_GRID_FLOOR, cap, MONOTONE_GRID_POINTS)
+    grid = np.geomspace(MONOTONE_GRID_FLOOR * min(1.0, cap), cap,
+                        MONOTONE_GRID_POINTS)
     gam = _leading_gammas(mesh, profile, params, SUITE_K, n_branches, grid)
     return [_monotone_report(grid, gam[:, n - 1], SUITE_K, n, quantity)
             for n in range(1, n_branches + 1)
@@ -380,12 +447,7 @@ def convergence_suite(profile: DensityProfile, params: PhysicalParams,
         mesh = build_mesh(profile.a, n_el)
         rec = solve_lambda_n(mesh, profile, params, SUITE_K, 1, settings)
         if not rec.converged:
-            if char_length(profile, params.g)[1] == 0.0:
-                return [CheckReport.make("convergence (vacuous: stable "
-                                         "profile)", 0.0, 0.0)]
-            return [CheckReport.make(
-                f"convergence (solve not converged: {rec.reason})",
-                math.inf, 1e-6)]
+            return [_unsolved_report("convergence", rec, profile, params, 1e-6)]
         mode = build_normal_mode(mesh, profile, params, (SUITE_K, 0.0), 1,
                                  settings, record=rec)
         rates[n_el] = rec.lambda_n
@@ -409,7 +471,7 @@ def run_suite(name: str, profile: DensityProfile, params: PhysicalParams,
               settings: SolverSettings = SolverSettings()) -> list[CheckReport]:
     suites = {
         "appendixD": lambda: appendix_d_suite(a=profile.a),
-        "energy": lambda: energy_suite(profile, params),
+        "energy": lambda: energy_suite(profile, params, settings=settings),
         "inequality": lambda: inequality_suite(profile, params, seed=seed,
                                                Kmax=Kmax, settings=settings),
         "monotone": lambda: monotone_suite(profile, params),

@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import inspect
 import io
 import os
 import subprocess
@@ -43,7 +44,11 @@ solver.n_max = 2
     cfg = load_config(path)
     assert cfg["profile.rho_plus"] == 3.0
     assert cfg["mesh.n_elements"] == 32
-    assert cfg.solver_settings().n_max == 2
+    assert cfg["solver.n_max"] == 2
+
+
+def test_load_config_reads_only_a_file():
+    assert list(inspect.signature(load_config).parameters) == ["path"]
 
 
 def test_config_rejects_unknown_and_bad_values(tmp_path):
@@ -321,6 +326,27 @@ def test_verify_monotone_suite_reports_known_defect(capsys):
     assert "monotone-rate-ratio" in out
 
 
+def test_verify_stable_profile_reports_vacuous_rows(tmp_path):
+    # every growth suite, energy included, reports one vacuous row
+    path = tmp_path / "stable.cfg"
+    path.write_text("profile.rho_plus = 1.0\n")
+    code, out, err = _run(["verify", "--suite", "all", "--config", str(path)])
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert len(lines) == 7 and all(line.endswith(" pass") for line in lines)
+    assert lines[3].startswith("energy (vacuous: stable profile)")
+
+
+def test_verify_energy_reports_an_unconverged_solve(tmp_path):
+    path = tmp_path / "viscous.cfg"
+    path.write_text("params.mu = 1e12\nmesh.n_elements = 16\n")
+    code, out, err = _run(["verify", "--suite", "energy", "--config", str(path)])
+    assert (code, err) == (1, "")
+    assert out.startswith("energy (solve not converged: rate-below-floor)")
+    assert out.count("\n") == 1 and "residual= inf" in out
+    assert out.rstrip().endswith("FAIL")
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
@@ -346,6 +372,10 @@ def _run(argv):
 # command line).
 _BAD_INPUTS = {
     "negative-seed": (b"seed = -1\n", ["verify", "--suite", "inequality"]),
+    "solver-n-max-zero": (
+        b"solver.n_max = 0\n",
+        ["dispersion", "--k-min", "1", "--k-max", "1", "--n-k", "1",
+         "--out", "{tmp}/x.csv"]),
     "missing-config": ("missing", ["lambda-max"]),
     "config-is-directory": ("directory", ["lambda-max"]),
     "config-not-utf8": (b"\xff\xfeseed = 1\n", ["lambda-max"]),

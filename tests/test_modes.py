@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 import rtspec as rt
 from rtspec.discretization import quadrature, tau_decay
 from rtspec.errors import NoUnstableBranchError
-from rtspec.modes import DEFAULT_DOMAIN_FACTOR, MODE_COLUMNS
+from rtspec.modes import DEFAULT_DOMAIN_FACTOR, MODE_COLUMNS, HorizontalAmplitude
 
 
 def divergence_residual(mode):
@@ -99,14 +101,27 @@ def test_zero_component_gives_zero_velocity(profile, params, mesh64):
     assert np.abs(mode.varphi(x)).max() <= 1e-12
 
 
-def test_truncation_independence(profile, params, mesh64):
-    m1 = rt.build_normal_mode(mesh64, profile, params, (1.0, 0.0), 1,
-                              domain_factor=DEFAULT_DOMAIN_FACTOR)
-    m2 = rt.build_normal_mode(mesh64, profile, params, (1.0, 0.0), 1,
-                              domain_factor=2 * DEFAULT_DOMAIN_FACTOR)
-    x = np.linspace(-1.0, 0.0, 200)
-    change = np.abs(m1.psi(x) - m2.psi(x)).max()
-    assert change <= 1e-8 * np.abs(m2.psi(x)).max()
+@pytest.mark.parametrize("factor", [DEFAULT_DOMAIN_FACTOR,
+                                    2 * DEFAULT_DOMAIN_FACTOR])
+def test_mode_table_depth_is_set_by_domain_factor(mode64, factor):
+    # the sampled depth is a + factor/k rounded up to whole elements; the
+    # profiles are closed forms, so the layer rows are the mode's own values
+    header, rows = rt.mode_table(mode64, domain_factor=factor)
+    h, a = mode64.mesh.h, mode64.mesh.a
+    assert rows[0, 0] == -(a + max(2, math.ceil(factor / (mode64.k * h))) * h)
+    assert header == rt.mode_table(mode64)[0]
+    layer = rows[:, 0] >= -a
+    assert layer.sum() >= 20
+    np.testing.assert_array_equal(rows[layer, 3], mode64.psi(rows[layer, 0]))
+
+
+def test_mode_depth_is_not_a_mode_parameter():
+    assert "domain_factor" not in inspect.signature(
+        rt.build_normal_mode).parameters
+    assert list(inspect.signature(rt.horizontal_velocity).parameters) == [
+        "phi", "k_component", "k"]
+    fields = {f.name for f in dataclasses.fields(HorizontalAmplitude)}
+    assert fields == {"phi", "factor"}
 
 
 def test_pressure_uniform_profile_oracle(params):
@@ -194,7 +209,7 @@ def test_evaluate_field(mode64):
 def test_field_below_sampled_depth_uses_closed_form(mode64):
     # the horizontal amplitudes are -k_c phi'/k^2 on the whole half line,
     # also below the sampled depth of psi
-    lo = -mode64.psi.depth
+    lo = rt.mode_table(mode64)[1][0, 0]
     k1 = mode64.k_vec[0]
     for x3 in (lo - 1.0, lo - 5.0):
         sample = rt.evaluate_field(mode64, 0.0, (0.2, 0.0, x3))
@@ -207,7 +222,7 @@ def test_mode_table_format(mode64):
     assert set(header) == {"k1", "k2", "n", "lambda", "A1", "A2",
                            "tau_minus", "nu"}
     assert rows.shape == (100, len(MODE_COLUMNS))
-    assert rows[0, 0] == -mode64.psi.depth
+    assert rows[0, 0] == rt.mode_table(mode64)[1][0, 0]
     assert rows[-1, 0] == 0.0
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rtspec as rt
-from rtspec import discretization
+from rtspec import discretization, spectral_core, verify
 from rtspec.discretization import quadrature
 from rtspec.errors import ConfigError
 from rtspec.verify import (
@@ -21,6 +21,18 @@ from rtspec.verify import (
     run_suite,
     tail_integrals,
 )
+
+
+CLOSED_FORM_CHECKS = ("boundary_quotient_spectrum", "quotient_stationary_values",
+                      "coercivity_ratio", "coercivity_bound")
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CHECKS)
+def test_closed_form_checks_live_in_verify(name):
+    # the solve path does not hold the checks of the operator method
+    assert callable(getattr(verify, name))
+    assert getattr(rt, name) is getattr(verify, name)
+    assert name not in vars(spectral_core)
 
 
 def test_check_report_pass_rule():
@@ -307,6 +319,48 @@ def test_convergence_suite_assembles_each_mass_once(profile, params,
     monkeypatch.setattr(discretization, "assemble_weighted_mass", counted)
     convergence_suite(profile, params)
     assert assembled == [32, 64, 128]
+
+
+def test_monotone_grid_rises_below_a_unit_cap(profile):
+    # a cap sqrt(g/L0) below the grid floor once reversed the grid and
+    # failed every row
+    params = rt.PhysicalParams(mu=1.0, g=1e-8, L1=1.0, L2=1.0)
+    cap = rt.char_length(profile, params.g)[1]
+    assert cap < MONOTONE_GRID_FLOOR
+    reports = monotone_suite(profile, params)
+    assert len(reports) == 8
+    for rep in reports:
+        assert rep.metadata["lam_min"] == pytest.approx(
+            MONOTONE_GRID_FLOOR * cap, rel=1e-12)
+        assert rep.metadata["lam_max"] == pytest.approx(cap, rel=1e-12)
+    ratio_reports = [rep for rep in reports if rep.name == "monotone-rate-ratio"]
+    assert len(ratio_reports) == 4
+    assert all(rep.passed for rep in ratio_reports)
+
+
+def test_energy_suite_solves_with_run_suite_settings(profile, params,
+                                                     monkeypatch):
+    # the energy mode is built from the suite's own record, solved with
+    # the settings run_suite is given
+    import rtspec.modes
+
+    solved, rebuilt = [], []
+
+    def recorded_solve(*args, **kwargs):
+        solved.append(args[5])
+        return rt.solve_lambda_n(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        rebuilt.append(args)
+        return rt.solve_lambda_n(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_lambda_n", recorded_solve)
+    monkeypatch.setattr(rtspec.modes, "solve_lambda_n", counted_solve)
+    loose = rt.SolverSettings(tol_rel=1e-6)
+    [report] = run_suite("energy", profile, params, settings=loose)
+    assert report.name == "energy-identity" and report.passed
+    assert solved == [loose]
+    assert rebuilt == []
 
 
 def test_monotone_suite_shape(profile, params):
