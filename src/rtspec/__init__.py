@@ -27,6 +27,7 @@ from .growth_solver import (
 )
 from .modes import (
     FieldSample,
+    HalfLineFunction,
     NormalMode,
     SurfaceSeries,
     build_normal_mode,
@@ -40,7 +41,6 @@ from .modes import (
 )
 from .verify import (
     CheckReport,
-    TrialFunction,
     boundary_quotient_spectrum,
     check_variational_inequality,
     coercivity_bound,
@@ -68,11 +68,11 @@ __all__ = [
     "GrowthRecord", "LambdaMaxResult", "SolverSettings",
     "dispersion", "lambda_max", "lattice_magnitudes",
     "refinement_agreement", "solve_lambda_n",
-    "FieldSample", "NormalMode", "SurfaceSeries", "build_normal_mode",
-    "evaluate_field", "horizontal_velocity", "mode_table",
+    "FieldSample", "HalfLineFunction", "NormalMode", "SurfaceSeries",
+    "build_normal_mode", "evaluate_field", "horizontal_velocity", "mode_table",
     "outer_coefficients", "poisson_extend", "poisson_gradient_l2",
     "surface_l2",
-    "CheckReport", "TrialFunction", "check_variational_inequality",
+    "CheckReport", "check_variational_inequality",
     "energy_identity_residual", "fixed_point_residual",
     "monotonicity_probe", "random_trial", "run_suite",
     "boundary_quotient_spectrum", "coercivity_bound", "coercivity_ratio",

@@ -165,15 +165,14 @@ def _interior_form(mesh: Mesh, coeffs: dict[int, np.ndarray | float]) -> np.ndar
     (element, quad point) coefficient array.
     """
     xi, wq = mesh.reference_quadrature
-    shapes = hermite_shapes(xi, mesh.h)
     local = np.zeros((mesh.n_elements, 4, 4))
     for order, c in coeffs.items():
-        n = shapes[order]
+        n = mesh.quadrature_shapes[order]
         if np.ndim(c) == 0:
             weight = np.broadcast_to(float(c) * wq, (mesh.n_elements, xi.size))
         else:
             weight = np.asarray(c, dtype=float) * wq[None, :]
-        local = local + np.einsum("eq,iq,jq->eij", weight, n, n)
+        local = local + np.einsum("eq,qi,qj->eij", weight, n, n)
     return _scatter(mesh, local)
 
 

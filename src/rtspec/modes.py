@@ -1,11 +1,12 @@
 """Full normal-mode reconstruction from an interior eigenfunction.
 
 A converged growth-rate branch gives the vertical-velocity amplitude phi
-on the stratified layer [-a, 0] as a C1 element function.  This module
-glues on the closed-form decaying tail A1 e^{k x} + A2 e^{tau x} below
-the layer, derives the pressure amplitude, takes the horizontal-velocity
-amplitudes in closed form from incompressibility, and packages the
-density and surface amplitudes that close the mode.  A small
+on the stratified layer [-a, 0] as a C1 element function, and a
+``HalfLineFunction`` (verify's trial functions too) continues it below
+the layer by the decaying tail A1 e^{k x} + A2 e^{tau x} that C1 matching
+fixes.  This module derives the pressure amplitude, takes the
+horizontal-velocity amplitudes in closed form from incompressibility, and
+packages the density and surface amplitudes that close the mode.  A small
 Poisson-extension toolkit for surface data lives here as well.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +42,49 @@ def outer_coefficients(phi_at_a: float, dphi_at_a: float, k: float,
     a1 = (tau * phi_at_a - dphi_at_a) / den
     a2 = (dphi_at_a - k * phi_at_a) / den
     return a1, a2
+
+
+# -- functions on the half line ----------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class HalfLineFunction:
+    """An H2 function on x <= 0: a C1 element function on the layer
+    [-a, 0] (a = ``mesh.a``), continued below by the decaying tail
+    A1 e^{k(x+a)} + A2 e^{tau(x+a)} that matches its value and slope at -a.
+
+    ``coeffs`` is one DOF vector, or a (dof, m) block whose columns share
+    the mesh, k and tau; only a single function is evaluated.
+    """
+
+    mesh: Mesh
+    coeffs: np.ndarray
+    k: float
+    tau: float
+
+    @property
+    def tail(self) -> tuple[float, float]:
+        """Tail coefficients (A1, A2), from ``outer_coefficients``."""
+        return outer_coefficients(self.coeffs[0], self.coeffs[1], self.k,
+                                  self.tau)
+
+    def __call__(self, x, deriv: int = 0):
+        """Value (or x-derivative up to order 3) at points x <= 0."""
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
+        if np.any(x > 0.0):
+            raise ValueError("half-line functions are defined on x3 <= 0 only")
+        out = np.empty_like(x)
+        inner = x >= -self.mesh.a
+        if inner.any():
+            out[inner] = HermiteFunction(self.mesh, self.coeffs)(x[inner], deriv)
+        if (~inner).any():
+            xo = x[~inner] + self.mesh.a
+            k, tau = self.k, self.tau
+            a1, a2 = self.tail
+            out[~inner] = (a1 * k**deriv * np.exp(k * xo)
+                           + a2 * tau**deriv * np.exp(tau * xo))
+        return float(out[0]) if scalar else out
 
 
 # -- horizontal amplitudes ---------------------------------------------------
@@ -92,36 +136,11 @@ class NormalMode:
     mesh: Mesh
     profile: DensityProfile
     params: PhysicalParams
-    coeffs: np.ndarray
-    A1: float
-    A2: float
-    tau_minus: float
+    phi: HalfLineFunction
     nu: float
     psi: HorizontalAmplitude
     varphi: HorizontalAmplitude
     record: GrowthRecord
-
-    @property
-    def interior(self) -> HermiteFunction:
-        return HermiteFunction(self.mesh, self.coeffs)
-
-    def phi(self, x, deriv: int = 0):
-        """Vertical-velocity amplitude (or derivative up to 3) on x <= 0."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        if np.any(x > 0.0):
-            raise ValueError("mode profiles are defined on x3 <= 0 only")
-        out = np.empty_like(x)
-        inner = x >= -self.profile.a
-        if inner.any():
-            out[inner] = self.interior(x[inner], deriv)
-        if (~inner).any():
-            xo = x[~inner] + self.profile.a
-            k, tau = self.k, self.tau_minus
-            out[~inner] = (self.A1 * k**deriv * np.exp(k * xo)
-                           + self.A2 * tau**deriv * np.exp(tau * xo))
-        return float(out[0]) if scalar else out
 
     def pressure(self, x):
         """Pressure amplitude; closed form below the layer, elementwise above.
@@ -136,15 +155,16 @@ class NormalMode:
             raise ValueError("mode profiles are defined on x3 <= 0 only")
         lam, k, mu = self.lambda_n, self.k, self.params.mu
         out = np.empty_like(x)
-        inner = x >= -self.profile.a
+        inner = x >= -self.mesh.a
         if inner.any():
             xi = x[inner]
-            f = self.interior
+            f = self.phi
             out[inner] = -(lam * self.profile.rho0(xi) * f(xi, 1)
                            + mu * (k * k * f(xi, 1) - f(xi, 3))) / k**2
         if (~inner).any():
-            xo = x[~inner] + self.profile.a
-            out[~inner] = -(lam * self.profile.rho_minus / k) * self.A1 * np.exp(k * xo)
+            xo = x[~inner] + self.mesh.a
+            a1 = self.phi.tail[0]
+            out[~inner] = -(lam * self.profile.rho_minus / k) * a1 * np.exp(k * xo)
         return float(out[0]) if scalar else out
 
     def omega(self, x):
@@ -178,17 +198,12 @@ def build_normal_mode(mesh: Mesh, profile: DensityProfile, params: PhysicalParam
     tau = tau_decay(k, lam, profile.rho_minus, params.mu)
     if not tau > k:
         raise NumericalError(f"outer decay rate tau rounds to k={k} at lam={lam}")
-    a1, a2 = outer_coefficients(coeffs[0], coeffs[1], k, tau)
-    nu = coeffs[-2] / lam
-
-    partial = NormalMode(k_vec=(k1, k2), k=k, n=n, lambda_n=lam, mesh=mesh,
-                         profile=profile, params=params, coeffs=coeffs,
-                         A1=a1, A2=a2, tau_minus=tau, nu=nu,
-                         psi=None, varphi=None, record=record)
-    return replace(
-        partial,
-        psi=horizontal_velocity(partial.phi, k1, k),
-        varphi=horizontal_velocity(partial.phi, k2, k))
+    phi = HalfLineFunction(mesh=mesh, coeffs=coeffs, k=k, tau=tau)
+    return NormalMode(k_vec=(k1, k2), k=k, n=n, lambda_n=lam, mesh=mesh,
+                      profile=profile, params=params, phi=phi,
+                      nu=coeffs[-2] / lam,
+                      psi=horizontal_velocity(phi, k1, k),
+                      varphi=horizontal_velocity(phi, k2, k), record=record)
 
 
 @dataclass(frozen=True)
@@ -289,10 +304,11 @@ def mode_table(mode: NormalMode, samples: int = DEFAULT_SAMPLES,
     The rows reach max(2, ceil(domain_factor / (k h))) element widths h
     below the layer, where the profiles are closed forms.
     """
+    a1, a2 = mode.phi.tail
     header = {
         "k1": mode.k_vec[0], "k2": mode.k_vec[1], "n": mode.n,
-        "lambda": mode.lambda_n, "A1": mode.A1, "A2": mode.A2,
-        "tau_minus": mode.tau_minus, "nu": mode.nu,
+        "lambda": mode.lambda_n, "A1": a1, "A2": a2,
+        "tau_minus": mode.phi.tau, "nu": mode.nu,
     }
     h = mode.mesh.h
     depth = mode.mesh.a + max(2, math.ceil(domain_factor / (mode.k * h))) * h

@@ -3,14 +3,14 @@ the closed forms (Appendix D, the coercivity bound) it is checked against.
 
 Each check returns a CheckReport with a scalar residual and a tolerance;
 pass means residual <= tolerance.  Interior integrals are quadrature sums
-over the layer; tail integrals below the layer use closed forms for the
-exponential branches, so every check covers the half line.
+over the layer; tail integrals below the layer are closed forms in its C1
+matching data, so every check covers the half line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,13 +28,14 @@ from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError
 from .growth_solver import (
     FIXED_POINT_RTOL,
+    NO_UNSTABLE_BRANCH,
     GrowthRecord,
     SolverSettings,
     lambda_max,
     lattice_magnitudes,
     solve_lambda_n,
 )
-from .modes import NormalMode, build_normal_mode
+from .modes import HalfLineFunction, NormalMode, build_normal_mode
 from .spectral_core import assemble_B, branch_evaluation, gamma_values
 
 ENERGY_RTOL = 1e-5
@@ -112,43 +113,61 @@ def quotient_stationary_values(ka: float) -> np.ndarray:
                      -(s + ka) / (3.0 * s - ka)])
 
 
-# -- closed-form tail integrals ------------------------------------------------
+# -- the energy functional ------------------------------------------------------
 
-def tail_integrals(c1: float, c2: float, alpha: float, beta: float,
-                   k: float) -> tuple[float, float, float]:
-    """(mass, gradient, stress) integrals of c1 e^{alpha s} + c2 e^{beta s}
-    over s < 0, where stress means (phi'' + k^2 phi)^2.
+def tail_integrals(p, q, k: float, tau: float) -> tuple:
+    """(mass, gradient, stress) integrals over s < 0 of the tail
+    p e^{ks} + q D(s), D(s) = (e^{tau s} - e^{ks}) / (tau - k), where stress
+    means (phi'' + k^2 phi)^2 and p = phi(-a), q = phi'(-a) - k phi(-a).
+
+    Nothing here divides by tau - k: as tau nears k, the coefficients
+    p - q / (tau - k) and q / (tau - k) of e^{ks} and e^{tau s} cancel.
     """
 
-    def pair(d1, d2):
-        return (d1 * d1 / (2.0 * alpha) + 2.0 * d1 * d2 / (alpha + beta)
-                + d2 * d2 / (2.0 * beta))
+    def pair(u, v):
+        # integral of (u e^{ks} + v D(s))^2 over s < 0
+        return (u * u - 2.0 * u * v / (k + tau)
+                + v * v / (tau * (k + tau))) / (2.0 * k)
 
-    mass = pair(c1, c2)
-    grad = pair(alpha * c1, beta * c2)
-    stress = pair((alpha**2 + k**2) * c1, (beta**2 + k**2) * c2)
+    mass = pair(p, q)
+    grad = pair(k * p + q, tau * q)
+    stress = pair(2.0 * k**2 * p + (k + tau) * q, (tau**2 + k**2) * q)
     return mass, grad, stress
 
 
-@dataclass(frozen=True, eq=False)
-class TrialFunction:
-    """H2 trial on the layer with a C1 exponential tail below it.
+def _energy_terms(phi: HalfLineFunction, profile: DensityProfile,
+                  params: PhysicalParams, rate: float) -> tuple:
+    """Kinetic, viscous, surface and buoyancy terms of the energy balance
+    of ``phi`` at ``rate`` over the half line, one value per function of
+    a block.  A mode at its own rate sums them to zero."""
+    k = phi.k
+    w, rho, drho = form_cache(phi.mesh, profile).layer
+    v, dv, ddv = quadrature_values(phi.mesh, phi.coeffs)
+    p = phi.coeffs[0]
+    mass_out, grad_out, stress_out = tail_integrals(p, phi.coeffs[1] - k * p,
+                                                    k, phi.tau)
+    weighted_grad = (w * rho) @ (k * k * v * v + dv * dv)
+    stress = w @ ((ddv + k * k * v) ** 2 + 4.0 * k * k * dv * dv)
+    kinetic = rate**2 * (weighted_grad
+                         + profile.rho_minus * (k * k * mass_out + grad_out))
+    viscous = rate * params.mu * (stress + stress_out + 4.0 * k * k * grad_out)
+    surface = params.g * k * k * profile.rho_plus * phi.coeffs[-2] ** 2
+    buoyancy = -params.g * k * k * ((w * drho) @ (v * v))
+    return kinetic, viscous, surface, buoyancy
 
-    ``coeffs`` is one DOF vector, or a (dof, m) matrix whose columns are a
-    block of m trials on one mesh with one ``tau``; ``A1`` and ``A2`` are
-    then scalars or length-m vectors.
+
+def energy_identity_residual(mode: NormalMode) -> CheckReport:
+    """Defect of the mode's energy balance over the whole half line.
+
+    The balance equates the kinetic and viscous quadratic terms at rate
+    lambda with the buoyancy terms; for an exact mode it vanishes
+    identically, so the relative defect measures discretization error.
     """
-
-    mesh: Mesh
-    coeffs: np.ndarray
-    A1: float | np.ndarray
-    A2: float | np.ndarray
-    tau: float
-
-    @classmethod
-    def from_mode(cls, mode: NormalMode) -> "TrialFunction":
-        return cls(mesh=mode.mesh, coeffs=mode.coeffs, A1=mode.A1,
-                   A2=mode.A2, tau=mode.tau_minus)
+    terms = _energy_terms(mode.phi, mode.profile, mode.params, mode.lambda_n)
+    residual = abs(sum(terms)) / sum(abs(t) for t in terms)
+    return CheckReport.make("energy-identity", residual, ENERGY_RTOL,
+                            k=mode.k, n=mode.n, lam=mode.lambda_n,
+                            n_elements=mode.mesh.n_elements)
 
 
 # Trials checked per matrix product.  Blocks of 32 run as fast as larger
@@ -158,15 +177,14 @@ _TRIAL_BLOCK = 32
 
 
 def _random_trials(mesh: Mesh, k: float, rng: np.random.Generator,
-                   count: int) -> TrialFunction:
-    """A block of ``count`` random trials, column j drawn as the j-th
-    ``random_trial`` call on ``rng`` would draw it."""
+                   count: int) -> HalfLineFunction:
+    """A block of ``count`` trials like ``random_trial``'s, drawing each
+    kind of random number for the whole block in one call."""
     a = mesh.a
-    amps, centers, widths = np.empty((3, 5, count))
-    for j in range(count):
-        amps[:, j] = rng.uniform(0.2, 1.0, 5) * rng.choice([-1.0, 1.0], 5)
-        centers[:, j] = rng.uniform(-a, 0.0, 5)
-        widths[:, j] = rng.uniform(a / 20.0, a / 4.0, 5)
+    amps = (rng.uniform(0.2, 1.0, (5, count))
+            * rng.choice([-1.0, 1.0], (5, count)))
+    centers = rng.uniform(-a, 0.0, (5, count))
+    widths = rng.uniform(a / 20.0, a / 4.0, (5, count))
     x = mesh.nodes[:, None]
     vals = np.zeros((x.size, count))
     slopes = np.zeros((x.size, count))
@@ -178,61 +196,21 @@ def _random_trials(mesh: Mesh, k: float, rng: np.random.Generator,
     coeffs[0::2] = vals
     coeffs[1::2] = slopes
     coeffs[1] = k * coeffs[0]
-    return TrialFunction(mesh=mesh, coeffs=coeffs, A1=coeffs[0], A2=0.0,
-                         tau=2.0 * k)
+    return HalfLineFunction(mesh=mesh, coeffs=coeffs, k=k, tau=2.0 * k)
 
 
-def random_trial(mesh: Mesh, k: float, rng: np.random.Generator) -> TrialFunction:
+def random_trial(mesh: Mesh, k: float,
+                 rng: np.random.Generator) -> HalfLineFunction:
     """Sum of 5 Gaussian bumps interpolated onto the C1 element space.
 
-    The left slope DOF is overwritten by k * value so the single
-    decaying tail A1 e^{k(x+a)} attaches with C1 continuity.
+    The left slope DOF is overwritten by k * value, so the C1 tail is the
+    single decaying branch phi(-a) e^{k(x+a)}.
     """
-    coeffs = _random_trials(mesh, k, rng, 1).coeffs[:, 0]
-    return TrialFunction(mesh=mesh, coeffs=coeffs, A1=coeffs[0], A2=0.0,
-                         tau=2.0 * k)
+    block = _random_trials(mesh, k, rng, 1)
+    return replace(block, coeffs=block.coeffs[:, 0])
 
 
-def _layer_integrals(trial: TrialFunction, profile: DensityProfile, k: float):
-    """Layer integrals of rho0 (k^2 v^2 + v'^2), (v'' + k^2 v)^2 + 4 k^2 v'^2
-    and drho0 v^2 at the quadrature points of the trial's mesh, one value
-    per trial of a block."""
-    w, rho, drho = form_cache(trial.mesh, profile).layer
-    v, dv, ddv = quadrature_values(trial.mesh, trial.coeffs)
-    weighted_grad = (w * rho) @ (k * k * v * v + dv * dv)
-    stress = w @ ((ddv + k * k * v) ** 2 + 4.0 * k * k * dv * dv)
-    strat_mass = (w * drho) @ (v * v)
-    return weighted_grad, stress, strat_mass
-
-
-def energy_identity_residual(mode: NormalMode) -> CheckReport:
-    """Defect of the mode's energy balance over the whole half line.
-
-    The balance equates the kinetic and viscous quadratic terms at rate
-    lambda with the buoyancy terms; for an exact mode it vanishes
-    identically, so the relative defect measures discretization error.
-    """
-    profile, params = mode.profile, mode.params
-    k, lam = mode.k, mode.lambda_n
-    weighted_grad, stress, strat_mass = _layer_integrals(
-        TrialFunction.from_mode(mode), profile, k)
-    mass_out, grad_out, stress_out = tail_integrals(
-        mode.A1, mode.A2, k, mode.tau_minus, k)
-    rho_m = profile.rho_minus
-    phi0 = mode.coeffs[-2]
-    t_kinetic = lam**2 * (weighted_grad
-                          + rho_m * (k * k * mass_out + grad_out))
-    t_viscous = lam * params.mu * (stress + stress_out + 4.0 * k * k * grad_out)
-    t_surface = params.g * k * k * profile.rho_plus * phi0**2
-    t_buoyancy = -params.g * k * k * strat_mass
-    total = t_kinetic + t_viscous + t_surface + t_buoyancy
-    scale = abs(t_kinetic) + abs(t_viscous) + abs(t_surface) + abs(t_buoyancy)
-    return CheckReport.make("energy-identity", abs(total) / scale, ENERGY_RTOL,
-                            k=k, n=mode.n, lam=lam,
-                            n_elements=mode.mesh.n_elements)
-
-
-def check_variational_inequality(Lambda: float, trial: TrialFunction, k: float,
+def check_variational_inequality(Lambda: float, trial: HalfLineFunction,
                                  profile: DensityProfile,
                                  params: PhysicalParams) -> CheckReport:
     """Maximal-growth bound: stratification energy vs rate-weighted norms.
@@ -241,29 +219,22 @@ def check_variational_inequality(Lambda: float, trial: TrialFunction, k: float,
     is approached by the extremal mode at the lattice argmax.  A block of
     trials reports its worst residual.
     """
-    residuals = _inequality_residuals(Lambda, trial, k, profile, params)
+    residuals = _inequality_residuals(Lambda, trial, profile, params)
     return CheckReport.make("variational-inequality", np.max(residuals),
-                            INEQUALITY_SLACK, k=k, Lambda=Lambda)
+                            INEQUALITY_SLACK, k=trial.k, Lambda=Lambda)
 
 
-def _inequality_residuals(Lambda: float, trial: TrialFunction, k: float,
+def _inequality_residuals(Lambda: float, trial: HalfLineFunction,
                           profile: DensityProfile,
                           params: PhysicalParams) -> np.ndarray:
-    """The bound's signed residual, one per trial of a block.  The layer
-    norms are ``_layer_integrals`` divided by k^2."""
-    weighted_grad, stress, strat_mass = _layer_integrals(trial, profile, k)
-    mass_out, grad_out, stress_out = tail_integrals(trial.A1, trial.A2, k,
-                                                    trial.tau, k)
-    weighted = weighted_grad / k**2 + profile.rho_minus * (mass_out
-                                                           + grad_out / k**2)
-    stress = stress / k**2 + stress_out / k**2 + 4.0 * grad_out
-    phi0 = trial.coeffs[-2]
-    lhs = params.g * strat_mass
-    rhs = (params.g * profile.rho_plus * phi0**2
-           + Lambda**2 * weighted + Lambda * params.mu * stress)
-    # a zero trial has lhs = rhs = 0 and residual 0
-    return np.divide(lhs - rhs, np.abs(rhs), out=np.zeros(np.shape(rhs)),
-                     where=(lhs != 0.0) | (rhs != 0.0))
+    """The bound's signed residual, one per trial of a block: the energy
+    balance at rate Lambda over its kinetic, viscous and surface terms."""
+    kinetic, viscous, surface, buoyancy = _energy_terms(trial, profile, params,
+                                                        Lambda)
+    rhs = kinetic + viscous + surface
+    # a zero trial has every term 0 and residual 0
+    return np.divide(-(rhs + buoyancy), rhs, out=np.zeros(np.shape(rhs)),
+                     where=rhs != 0.0)
 
 
 def fixed_point_residual(mesh: Mesh, profile: DensityProfile,
@@ -392,11 +363,10 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
     mesh = build_mesh(profile.a, n_elements)
     result = lambda_max(mesh, profile, params, Kmax, settings)
     if not result.any_unstable:
-        if char_length(profile, params.g)[1] == 0.0:
-            return [CheckReport.make("inequality (vacuous: stable profile)",
-                                     0.0, INEQUALITY_SLACK, trials=0)]
-        return [CheckReport.make("inequality (growth solves not converged)",
-                                 math.inf, INEQUALITY_SLACK, trials=0)]
+        failed = next((r for r in result.records
+                       if r.reason != NO_UNSTABLE_BRANCH), result.records[0])
+        return [_unsolved_report("inequality", failed, profile, params,
+                                 INEQUALITY_SLACK)]
     rng = np.random.default_rng(seed)
     ks = lattice_magnitudes(params.L1, params.L2, Kmax)[:n_wavenumbers]
     reports = []
@@ -405,8 +375,8 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
         for start in range(0, n_trials, _TRIAL_BLOCK):
             block = _random_trials(mesh, float(k), rng,
                                    min(_TRIAL_BLOCK, n_trials - start))
-            rep = check_variational_inequality(result.Lambda, block, float(k),
-                                               profile, params)
+            rep = check_variational_inequality(result.Lambda, block, profile,
+                                               params)
             worst = max(worst, rep.residual)
         reports.append(CheckReport.make(f"inequality k={k:g}", worst,
                                         INEQUALITY_SLACK, trials=n_trials,
@@ -414,9 +384,8 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
     # tightness at the argmax: the extremal mode nearly saturates the bound
     mode = build_normal_mode(mesh, profile, params, (result.argmax_k, 0.0), 1,
                              settings, record=result.argmax_record)
-    rep = check_variational_inequality(result.Lambda,
-                                       TrialFunction.from_mode(mode),
-                                       result.argmax_k, profile, params)
+    rep = check_variational_inequality(result.Lambda, mode.phi, profile,
+                                       params)
     reports.append(CheckReport.make("inequality-tightness", -rep.residual,
                                     TIGHTNESS_GAP, k=result.argmax_k,
                                     Lambda=result.Lambda))

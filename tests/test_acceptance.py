@@ -20,7 +20,6 @@ from rtspec.discretization import quadrature
 from rtspec.growth_solver import NO_UNSTABLE_BRANCH
 from rtspec.verify import (
     INEQUALITY_SLACK,
-    TrialFunction,
     _TRIAL_BLOCK,
     _inequality_residuals,
     _random_trials,
@@ -141,8 +140,8 @@ def test_c06_energy_identity(profile, params):
 
 
 def test_c07_maximal_growth_inequality(profile, params, mesh64, lattice_max):
-    # 1000 trials per k, drawn as 1000 random_trial calls would draw them
-    # and checked in blocks against one shared quadrature table
+    # 1000 trials per k, drawn and checked in blocks of _TRIAL_BLOCK as
+    # inequality_suite draws and checks them
     rng = np.random.default_rng(0)
     ks = rt.lattice_magnitudes(params.L1, params.L2, 8.0)[:5]
     violations = 0
@@ -151,8 +150,8 @@ def test_c07_maximal_growth_inequality(profile, params, mesh64, lattice_max):
         for start in range(0, 1000, _TRIAL_BLOCK):
             block = _random_trials(mesh64, float(k), rng,
                                    min(_TRIAL_BLOCK, 1000 - start))
-            res = _inequality_residuals(lattice_max.Lambda, block, float(k),
-                                        profile, params)
+            res = _inequality_residuals(lattice_max.Lambda, block, profile,
+                                        params)
             worst = max(worst, res.max())
             violations += int(np.count_nonzero(~(res <= INEQUALITY_SLACK)))
     ok = violations == 0

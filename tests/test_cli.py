@@ -334,7 +334,10 @@ def test_verify_stable_profile_reports_vacuous_rows(tmp_path):
     lines = out.splitlines()
     assert (code, err) == (0, "")
     assert len(lines) == 7 and all(line.endswith(" pass") for line in lines)
-    assert lines[3].startswith("energy (vacuous: stable profile)")
+    for line, suite in zip(lines[3:], ("energy", "inequality", "monotone",
+                                       "convergence")):
+        assert line == (f"{suite + ' (vacuous: stable profile)':<38s} "
+                        "residual= 0.000000e+00 tolerance= 0.000000e+00 pass")
 
 
 def test_verify_energy_reports_an_unconverged_solve(tmp_path):
@@ -345,6 +348,36 @@ def test_verify_energy_reports_an_unconverged_solve(tmp_path):
     assert out.startswith("energy (solve not converged: rate-below-floor)")
     assert out.count("\n") == 1 and "residual= inf" in out
     assert out.rstrip().endswith("FAIL")
+
+
+def test_verify_inequality_reports_an_unconverged_solve(tmp_path):
+    # the lattice's records fail below the bracket floor; the row names
+    # their reason, as the other growth suites do
+    path = tmp_path / "viscous.cfg"
+    path.write_text("params.mu = 1e12\nmesh.n_elements = 16\n")
+    code, out, err = _run(["verify", "--suite", "inequality",
+                           "--config", str(path)])
+    assert (code, err) == (1, "")
+    assert out.startswith("inequality (solve not converged: rate-below-floor)")
+    assert out.count("\n") == 1 and "residual= inf" in out
+    assert out.rstrip().endswith("FAIL")
+
+
+def test_verify_passes_near_the_tail_degeneracy(tmp_path):
+    # slow growth at high viscosity: tau - k = 3.4e-7 at k = 1, where the
+    # tail's coefficients of e^{ks} and e^{tau s} reach +-3.3e6 and cancel
+    path = tmp_path / "slow.cfg"
+    path.write_text("profile.rho_plus = 1.1\nparams.mu = 20\n"
+                    "params.g = 0.04\n")
+    code, out, err = _run(["verify", "--suite", "energy", "--config", str(path)])
+    assert (code, err) == (0, "")
+    assert out.startswith("energy-identity ") and out.rstrip().endswith("pass")
+    code, out, err = _run(["verify", "--suite", "all", "--config", str(path)])
+    failed = [line.split(" residual=")[0].strip()
+              for line in out.splitlines() if line.endswith("FAIL")]
+    assert (code, err) == (1, "")
+    assert len(out.splitlines()) == 20
+    assert failed == ["monotone-gamma"] * 4
 
 
 def test_verify_unknown_suite_is_usage_error():

@@ -38,14 +38,18 @@ def test_outer_coefficients_pure_branches():
 
 def test_mode_basic_closures(mode64):
     mode = mode64
+    coeffs = mode.phi.coeffs
     # surface amplitude closure is definitional
-    assert mode.nu * mode.lambda_n == pytest.approx(mode.coeffs[-2], abs=1e-14)
-    # outer matching is exact in the DOFs
-    assert mode.A1 + mode.A2 == pytest.approx(mode.coeffs[0], abs=1e-12)
-    assert mode.k * mode.A1 + mode.tau_minus * mode.A2 == pytest.approx(
-        mode.coeffs[1], abs=1e-12)
+    assert mode.nu * mode.lambda_n == pytest.approx(coeffs[-2], abs=1e-14)
+    # the tail is derived from the DOFs and matches them exactly
+    a1, a2 = mode.phi.tail
+    assert (mode.phi.k, mode.phi.mesh.a) == (mode.k, mode.profile.a)
+    assert a1 + a2 == pytest.approx(coeffs[0], abs=1e-12)
+    assert mode.k * a1 + mode.phi.tau * a2 == pytest.approx(coeffs[1],
+                                                            abs=1e-12)
     # normalization
-    assert abs(mode.interior.peak()) == pytest.approx(1.0, rel=1e-12)
+    assert abs(rt.HermiteFunction(mode.mesh, coeffs).peak()) == pytest.approx(
+        1.0, rel=1e-12)
     # density amplitude vanishes outside the layer, matches the closure inside
     x_out = np.array([-1.5, -3.0, -8.0])
     assert np.abs(mode.omega(x_out)).max() == 0.0
@@ -154,12 +158,16 @@ def test_pressure_outer_form(profile, params, mesh64, mode64):
     # below the layer the pressure carries only the slow k-branch
     mode = mode64
     x = np.array([-1.5, -2.5, -4.0])
-    expected = -(mode.lambda_n * profile.rho_minus / mode.k) * mode.A1 \
+    expected = -(mode.lambda_n * profile.rho_minus / mode.k) * mode.phi.tail[0] \
         * np.exp(mode.k * (x + profile.a))
     assert np.allclose(mode.pressure(x), expected, rtol=1e-13)
-    # pure fast-branch data leaves the outer pressure identically zero
-    import dataclasses
-    tweaked = dataclasses.replace(mode, A1=0.0)
+    # pure fast-branch matching data, phi'(-a) = tau phi(-a), gives A1 = 0
+    # and leaves the outer pressure identically zero
+    coeffs = mode.phi.coeffs.copy()
+    coeffs[1] = mode.phi.tau * coeffs[0]
+    tweaked = dataclasses.replace(
+        mode, phi=dataclasses.replace(mode.phi, coeffs=coeffs))
+    assert tweaked.phi.tail[0] == 0.0
     assert np.abs(tweaked.pressure(x)).max() == 0.0
 
 

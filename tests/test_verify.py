@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rtspec as rt
 from rtspec import discretization, spectral_core, verify
@@ -12,11 +13,12 @@ from rtspec.verify import (
     MONOTONE_GRID_FLOOR,
     MONOTONE_GRID_POINTS,
     CheckReport,
-    TrialFunction,
     _inequality_residuals,
     _random_trials,
     appendix_d_suite,
     convergence_suite,
+    energy_suite,
+    inequality_suite,
     monotone_suite,
     run_suite,
     tail_integrals,
@@ -43,21 +45,31 @@ def test_check_report_pass_rule():
 
 
 def test_tail_integrals_against_quadrature():
+    # the tail with phi(-a) = p and phi'(-a) = k p + q is
+    # e^{ks} (p + q expm1((tau - k) s) / (tau - k)); it solves
+    # phi' = k phi + q e^{tau s}, which gives its derivatives without the
+    # coefficients of e^{ks} and e^{tau s}, which cancel as tau nears k
     import scipy.integrate
-    c1, c2, alpha, beta, k = 0.8, -0.4, 1.0, 1.7, 1.0
+    p, q, k = 0.8, -0.4, 1.3
 
-    def phi(s, d=0):
-        return c1 * alpha**d * np.exp(alpha * s) + c2 * beta**d * np.exp(beta * s)
+    def quad(f):
+        return scipy.integrate.quad(f, -np.inf, 0.0, epsabs=0.0,
+                                    epsrel=1e-12)[0]
 
-    mass, grad, stress = tail_integrals(c1, c2, alpha, beta, k)
-    q = scipy.integrate.quad
-    assert mass == pytest.approx(q(lambda s: phi(s) ** 2, -np.inf, 0.0)[0],
-                                 rel=1e-10)
-    assert grad == pytest.approx(q(lambda s: phi(s, 1) ** 2, -np.inf, 0.0)[0],
-                                 rel=1e-10)
-    assert stress == pytest.approx(
-        q(lambda s: (phi(s, 2) + k * k * phi(s)) ** 2, -np.inf, 0.0)[0],
-        rel=1e-10)
+    for tau in (1.7 * k, k * (1.0 + 1e-7)):
+        def phi(s, d=0):
+            value = np.exp(k * s) * (p + q * np.expm1((tau - k) * s)
+                                     / (tau - k))
+            if d == 0:
+                return value
+            slope = k * value + q * np.exp(tau * s)
+            return slope if d == 1 else k * slope + q * tau * np.exp(tau * s)
+
+        mass, grad, stress = tail_integrals(p, q, k, tau)
+        assert mass == pytest.approx(quad(lambda s: phi(s) ** 2), rel=1e-10)
+        assert grad == pytest.approx(quad(lambda s: phi(s, 1) ** 2), rel=1e-10)
+        assert stress == pytest.approx(
+            quad(lambda s: (phi(s, 2) + k * k * phi(s)) ** 2), rel=1e-10)
 
 
 def test_energy_identity_converged_mode(mode128):
@@ -114,9 +126,9 @@ def test_monotonicity_probe_contracts(profile, params, mesh64, growth_cap):
 
 
 def test_variational_inequality_zero_trial(profile, params, mesh64):
-    trial = TrialFunction(mesh=mesh64, coeffs=np.zeros(mesh64.dof_count),
-                          A1=0.0, A2=0.0, tau=2.0)
-    rep = rt.check_variational_inequality(0.5, trial, 1.0, profile, params)
+    trial = rt.HalfLineFunction(mesh=mesh64, coeffs=np.zeros(mesh64.dof_count),
+                                k=1.0, tau=2.0)
+    rep = rt.check_variational_inequality(0.5, trial, profile, params)
     assert rep.passed
     assert rep.residual == 0.0
 
@@ -125,15 +137,17 @@ def test_random_trials_are_seeded(mesh64):
     a = rt.random_trial(mesh64, 1.0, np.random.default_rng(42))
     b = rt.random_trial(mesh64, 1.0, np.random.default_rng(42))
     assert np.array_equal(a.coeffs, b.coeffs)
-    # C1 tail gluing baked into the left DOFs
+    # C1 tail gluing baked into the left DOFs: the tail is phi(-a) e^{k(x+a)}
     assert a.coeffs[1] == pytest.approx(1.0 * a.coeffs[0], rel=1e-15)
+    assert (a.k, a.tau) == (1.0, 2.0)
+    assert a.tail == (a.coeffs[0], 0.0)
 
 
 def test_random_trials_respect_bound(profile, params, mesh64, lattice_max):
     rng = np.random.default_rng(123)
     for _ in range(50):
         trial = rt.random_trial(mesh64, 1.0, rng)
-        rep = rt.check_variational_inequality(lattice_max.Lambda, trial, 1.0,
+        rep = rt.check_variational_inequality(lattice_max.Lambda, trial,
                                               profile, params)
         assert rep.passed
 
@@ -141,24 +155,25 @@ def test_random_trials_respect_bound(profile, params, mesh64, lattice_max):
 def test_inequality_tight_at_argmax(profile, params, mesh64, lattice_max):
     mode = rt.build_normal_mode(mesh64, profile, params,
                                 (lattice_max.argmax_k, 0.0), 1)
-    rep = rt.check_variational_inequality(lattice_max.Lambda,
-                                          TrialFunction.from_mode(mode),
-                                          lattice_max.argmax_k, profile, params)
+    rep = rt.check_variational_inequality(lattice_max.Lambda, mode.phi,
+                                          profile, params)
     assert rep.passed
     assert -rep.residual <= 1e-4  # the two sides nearly coincide
 
 
-def _pointwise_inequality_residual(Lambda, trial, k, profile, params):
-    """The bound's residual with the layer norms evaluated point by point."""
+def _pointwise_inequality_residual(Lambda, trial, profile, params):
+    """The bound's residual, (lhs - rhs) / rhs, with the layer norms
+    evaluated point by point."""
     pts, wts = quadrature(trial.mesh)
     x, w = pts.ravel(), wts.ravel()
-    f = rt.HermiteFunction(trial.mesh, trial.coeffs)
-    v, dv, ddv = f(x), f(x, 1), f(x, 2)
+    k = trial.k
+    v, dv, ddv = trial(x), trial(x, 1), trial(x, 2)
     strat_mass = float(w @ (profile.drho0(x) * v * v))
     weighted = float(w @ (profile.rho0(x) * (v * v + dv * dv / k**2)))
     stress = float(w @ ((ddv / k + k * v) ** 2 + 4.0 * dv * dv))
-    mass_out, grad_out, stress_out = tail_integrals(trial.A1, trial.A2, k,
-                                                    trial.tau, k)
+    p = trial.coeffs[0]
+    mass_out, grad_out, stress_out = tail_integrals(p, trial.coeffs[1] - k * p,
+                                                    k, trial.tau)
     weighted += profile.rho_minus * (mass_out + grad_out / k**2)
     stress += stress_out / k**2 + 4.0 * grad_out
     lhs = params.g * strat_mass
@@ -171,19 +186,19 @@ def test_inequality_cache_matches_pointwise_formula(profile, params, mesh64,
                                                     lattice_max):
     Lambda, k_star = lattice_max.Lambda, lattice_max.argmax_k
     rng = np.random.default_rng(7)
-    cases = [(rt.random_trial(mesh64, 1.0, rng), 1.0) for _ in range(20)]
+    cases = [rt.random_trial(mesh64, 1.0, rng) for _ in range(20)]
     mode = rt.build_normal_mode(mesh64, profile, params, (k_star, 0.0), 1)
-    cases.append((TrialFunction.from_mode(mode), k_star))
-    for trial, k in cases:
-        shared = rt.check_variational_inequality(Lambda, trial, k, profile,
+    cases.append(mode.phi)
+    for trial in cases:
+        shared = rt.check_variational_inequality(Lambda, trial, profile,
                                                  params)
         rt.form_cache.cache_clear()  # the forms are assembled anew
-        fresh = rt.check_variational_inequality(Lambda, trial, k, profile,
+        fresh = rt.check_variational_inequality(Lambda, trial, profile,
                                                 params)
         assert shared.residual == fresh.residual
         # the residual is relative to the bound's right-hand side, so this
         # compares both sides to 1e-12 of their scale
-        expected = _pointwise_inequality_residual(Lambda, trial, k, profile,
+        expected = _pointwise_inequality_residual(Lambda, trial, profile,
                                                   params)
         assert abs(shared.residual - expected) <= 1e-12 * max(1.0,
                                                                abs(expected))
@@ -209,21 +224,35 @@ def _one_trial_coeffs(mesh, k, rng):
     return coeffs
 
 
-def test_trial_block_columns_are_the_single_trials(mesh64):
-    # two blocks drawn in a row hold the trials of as many random_trial
-    # calls on the same seed, bit for bit, and leave the stream in step
+def test_trial_block_of_one_is_random_trial(mesh64):
+    # a block of one is random_trial's trial bit for bit, drawn bump by
+    # bump, and leaves the stream in step
     rngs = [np.random.default_rng(11) for _ in range(3)]
-    blocks = [_random_trials(mesh64, 1.5, rngs[0], m) for m in (37, 27)]
-    columns = np.hstack([b.coeffs for b in blocks])
-    tails = np.concatenate([b.A1 for b in blocks])
-    for j in range(columns.shape[1]):
+    for _ in range(5):
+        block = _random_trials(mesh64, 1.5, rngs[0], 1)
         single = rt.random_trial(mesh64, 1.5, rngs[1])
-        assert np.array_equal(columns[:, j], single.coeffs)
+        assert block.coeffs.shape == (mesh64.dof_count, 1)
+        assert np.array_equal(block.coeffs[:, 0], single.coeffs)
         assert np.array_equal(single.coeffs,
                               _one_trial_coeffs(mesh64, 1.5, rngs[2]))
-        assert tails[j] == single.A1
-        assert blocks[0].tau == single.tau and single.A2 == 0.0
+        assert (block.k, block.tau) == (single.k, single.tau) == (1.5, 3.0)
     assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+
+def test_trial_blocks_are_reproducible_from_the_seed(mesh64):
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        blocks = [_random_trials(mesh64, 1.5, rng, m) for m in (37, 27)]
+        return blocks, rng.random()
+
+    (first, after), (second, again) = draw(11), draw(11)
+    assert after == again
+    for a, b in zip(first, second):
+        assert np.array_equal(a.coeffs, b.coeffs)
+        # every column carries the pure e^{ks} tail
+        assert np.array_equal(a.coeffs[1], 1.5 * a.coeffs[0])
+        assert np.array_equal(a.tail[1], np.zeros(a.coeffs.shape[1]))
+    assert not np.array_equal(draw(12)[0][0].coeffs, first[0].coeffs)
 
 
 def test_block_residuals_match_single_checks(profile, params, mesh64,
@@ -232,19 +261,17 @@ def test_block_residuals_match_single_checks(profile, params, mesh64,
     for k in (1.0, 2.0):
         seed = int(10 * k)
         block = _random_trials(mesh64, k, np.random.default_rng(seed), 40)
-        residuals = _inequality_residuals(Lambda, block, k, profile, params)
+        residuals = _inequality_residuals(Lambda, block, profile, params)
         assert residuals.shape == (40,)
-        rng = np.random.default_rng(seed)
-        for res in residuals:
-            trial = rt.random_trial(mesh64, k, rng)
-            single = rt.check_variational_inequality(Lambda, trial, k,
-                                                     profile, params)
-            expected = _pointwise_inequality_residual(Lambda, trial, k,
-                                                      profile, params)
+        for j, res in enumerate(residuals):
+            trial = dataclasses.replace(block, coeffs=block.coeffs[:, j])
+            single = rt.check_variational_inequality(Lambda, trial, profile,
+                                                     params)
+            expected = _pointwise_inequality_residual(Lambda, trial, profile,
+                                                      params)
             assert abs(res - single.residual) <= 1e-12 * max(1.0, abs(res))
             assert abs(res - expected) <= 1e-12 * max(1.0, abs(expected))
-        rep = rt.check_variational_inequality(Lambda, block, k, profile,
-                                              params)
+        rep = rt.check_variational_inequality(Lambda, block, profile, params)
         assert rep.residual == residuals.max()
         assert rep.passed
 
@@ -253,10 +280,9 @@ def test_zero_trial_in_block_has_zero_residual(profile, params, mesh64):
     block = _random_trials(mesh64, 1.0, np.random.default_rng(3), 8)
     coeffs = block.coeffs.copy()
     coeffs[:, 5] = 0.0
-    zeroed = TrialFunction(mesh=mesh64, coeffs=coeffs, A1=coeffs[0], A2=0.0,
-                           tau=block.tau)
-    before = _inequality_residuals(0.5, block, 1.0, profile, params)
-    after = _inequality_residuals(0.5, zeroed, 1.0, profile, params)
+    zeroed = dataclasses.replace(block, coeffs=coeffs)
+    before = _inequality_residuals(0.5, block, profile, params)
+    after = _inequality_residuals(0.5, zeroed, profile, params)
     assert after[5] == 0.0
     assert np.array_equal(np.delete(after, 5), np.delete(before, 5))
 
@@ -407,3 +433,27 @@ def test_suites_reuse_solved_records(profile, params, monkeypatch):
     convergence_suite(profile, params, settings=loose)
     assert len(modes) == 4
     assert rebuilt == []
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(("bump", "quintic")),
+       rho_plus=_log_uniform(1.1, 1e3), mu=_log_uniform(1e-2, 1e2),
+       g=_log_uniform(1e-2, 1e2), a=st.sampled_from((0.5, 1.0, 2.0)))
+def test_suites_pass_on_drawn_physics(kind, rho_plus, mu, g, a):
+    # every check but the documented monotone-gamma rows passes for any
+    # unstable stratification, viscosity and gravity in these ranges
+    profile = rt.DensityProfile(rho_minus=1.0, rho_plus=rho_plus, a=a,
+                                kind=kind)
+    params = rt.PhysicalParams(mu=mu, g=g, L1=1.0, L2=1.0)
+    reports = (energy_suite(profile, params)
+               + convergence_suite(profile, params)
+               + inequality_suite(profile, params, n_trials=64,
+                                  n_wavenumbers=2, Kmax=3.0, n_elements=32)
+               + monotone_suite(profile, params, n_branches=2, n_elements=32))
+    failed = [rep.line() for rep in reports
+              if not rep.passed and rep.name != "monotone-gamma"]
+    assert failed == []
