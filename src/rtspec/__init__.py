@@ -7,7 +7,7 @@ a numerical verification suite for the identities the solver relies on.
 """
 
 from .equilibria import DensityProfile, PhysicalParams, char_length
-from .discretization import FormCache, HermiteFunction, Mesh, build_mesh, form_cache
+from .discretization import HermiteFunction, Mesh, build_mesh
 from .spectral_core import (
     PencilAssembly,
     SpectrumResult,
@@ -62,7 +62,7 @@ from .errors import (
 
 __all__ = [
     "DensityProfile", "PhysicalParams", "char_length",
-    "Mesh", "build_mesh", "HermiteFunction", "FormCache", "form_cache",
+    "Mesh", "build_mesh", "HermiteFunction",
     "PencilAssembly", "SpectrumResult",
     "assemble_B", "gamma_spectrum", "gamma_values",
     "GrowthRecord", "LambdaMaxResult", "SolverSettings",

@@ -5,8 +5,9 @@ array: the H2 energy form and the density-weighted gradient and mass forms
 as N x N matrices; the two boundary forms (surface and matching depth)
 and the endpoint quotient form, whose pencil eigenvalues have closed-form
 values, as 4x4 blocks on the endpoint DOFs.  The interior forms depend
-on the mesh and the profile only: ``form_cache`` assembles them once per
-(mesh, profile) and every caller shares them read-only.
+on the mesh, the profile and k only: ``weighted_mass``, ``interior_forms``
+and ``layer_values`` are memoized functions of exactly those, so every
+caller shares one read-only copy.  Meshes compare by value.
 
 Degrees of freedom are interleaved (value, slope) per node, so those are
 ``ENDPOINT_DOFS``: value and slope at x = -a, then at x = 0.
@@ -33,9 +34,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Mesh:
-    """Uniform mesh on [-a, 0] with two DOFs (value, slope) per node."""
+    """Uniform mesh on [-a, 0] with two DOFs (value, slope) per node.
+
+    Its fields determine every property, so meshes compare by value."""
 
     a: float
     n_elements: int
@@ -200,50 +203,30 @@ def assemble_weighted_mass(mesh: Mesh, profile: DensityProfile) -> np.ndarray:
     return _interior_form(mesh, {0: drho})
 
 
-class FormCache:
-    """The interior forms and quadrature data of one (mesh, profile).
-
-    Boundary forms are rate-dependent and cheap, so only H2 / WGRAD /
-    WMASS are cached, plus the ``layer`` weights and densities that
-    quadrature sums over element functions read.  H2 and WGRAD are kept
-    for the last k asked for only, so a sweep's cache does not grow with
-    its k values.  Every array it returns is read-only: ``form_cache``
-    shares one instance among all callers.
-    """
-
-    def __init__(self, mesh: Mesh, profile: DensityProfile):
-        self.mesh = mesh
-        self.profile = profile
-        self._by_k: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    @cached_property
-    def wmass(self) -> np.ndarray:
-        return _read_only(assemble_weighted_mass(self.mesh, self.profile))
-
-    @cached_property
-    def layer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(weights, rho0, drho0) at the raveled quadrature points."""
-        pts, wts = quadrature(self.mesh)
-        x = pts.ravel()
-        return (_read_only(wts.ravel()), _read_only(self.profile.rho0(x)),
-                _read_only(self.profile.drho0(x)))
-
-    def interior(self, k: float) -> tuple[np.ndarray, np.ndarray]:
-        """(H2, WGRAD) at wavenumber k."""
-        if k not in self._by_k:
-            self._by_k = {k: (
-                _read_only(assemble_h2_form(self.mesh, k)),
-                _read_only(assemble_weighted_gradient_form(self.mesh,
-                                                           self.profile, k)))}
-        return self._by_k[k]
+@lru_cache(maxsize=1)
+def weighted_mass(mesh: Mesh, profile: DensityProfile) -> np.ndarray:
+    """WMASS of (mesh, profile), read-only; only the last key is kept."""
+    return _read_only(assemble_weighted_mass(mesh, profile))
 
 
 @lru_cache(maxsize=1)
-def form_cache(mesh: Mesh, profile: DensityProfile) -> FormCache:
-    """The one ``FormCache`` of (mesh, profile); only the last (mesh,
-    profile) is kept, as ``FormCache.interior`` keeps only the last k.
-    Meshes compare by identity."""
-    return FormCache(mesh, profile)
+def interior_forms(mesh: Mesh, profile: DensityProfile,
+                   k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(H2, WGRAD) of (mesh, profile) at wavenumber k, read-only; only the
+    last key is kept, so a sweep holds the forms of one k at a time."""
+    return (_read_only(assemble_h2_form(mesh, k)),
+            _read_only(assemble_weighted_gradient_form(mesh, profile, k)))
+
+
+@lru_cache(maxsize=1)
+def layer_values(mesh: Mesh, profile: DensityProfile
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, rho0, drho0) at the raveled quadrature points, read-only;
+    the data that quadrature sums over element functions read."""
+    pts, wts = quadrature(mesh)
+    x = pts.ravel()
+    return (_read_only(wts.ravel()), _read_only(profile.rho0(x)),
+            _read_only(profile.drho0(x)))
 
 
 def tau_decay(k: float, lam: float, rho_minus: float, mu: float) -> float:

@@ -24,6 +24,7 @@ PROFILE_KINDS = ("bump", "quintic")
 # below the panel width, so every query is resolved to machine precision.
 _BUMP_PANELS = 2048
 _BUMP_GL_POINTS = 16
+_BUMP_GL_NODES = np.polynomial.legendre.leggauss(_BUMP_GL_POINTS)
 
 # The search for max drho0/rho0 on [-a, 0]: a grid of _PEAK_CELLS cells,
 # then _PEAK_ZOOMS zooms that each sample 2 * _PEAK_ZOOM + 1 points across
@@ -93,14 +94,10 @@ class DensityProfile:
     # -- bump integration tables ------------------------------------------
 
     @cached_property
-    def _gl_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.polynomial.legendre.leggauss(_BUMP_GL_POINTS)
-
-    @cached_property
     def _bump_table(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(panel edges, cumulative integral at edges, total) for the bump shape."""
         edges = np.linspace(-1.0, 1.0, _BUMP_PANELS + 1)
-        t, w = self._gl_nodes
+        t, w = _BUMP_GL_NODES
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
         nodes = mid[:, None] + half[:, None] * t[None, :]
@@ -134,7 +131,7 @@ class DensityProfile:
         y = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
         idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, _BUMP_PANELS - 1)
         left = edges[idx]
-        t, w = self._gl_nodes
+        t, w = _BUMP_GL_NODES
         mid = 0.5 * (left + y)
         half = 0.5 * (y - left)
         nodes = mid[..., None] + half[..., None] * t

@@ -50,7 +50,10 @@ def outer_coefficients(phi_at_a: float, dphi_at_a: float, k: float,
 class HalfLineFunction:
     """An H2 function on x <= 0: a C1 element function on the layer
     [-a, 0] (a = ``mesh.a``), continued below by the decaying tail
-    A1 e^{k(x+a)} + A2 e^{tau(x+a)} that matches its value and slope at -a.
+    A1 e^{k(x+a)} + A2 e^{tau(x+a)} that matches its value and slope at -a
+    (tau > k).  The tail is evaluated in the matching basis of
+    ``verify.tail_integrals``, not from (A1, A2): those grow like
+    1 / (tau - k) and cancel as tau nears k.
 
     ``coeffs`` is one DOF vector, or a (dof, m) block whose columns share
     the mesh, k and tau; only a single function is evaluated.
@@ -60,6 +63,10 @@ class HalfLineFunction:
     coeffs: np.ndarray
     k: float
     tau: float
+
+    def __post_init__(self) -> None:
+        if not self.tau > self.k:
+            raise ValueError("outer decay rate tau must exceed k")
 
     @property
     def tail(self) -> tuple[float, float]:
@@ -79,11 +86,16 @@ class HalfLineFunction:
         if inner.any():
             out[inner] = HermiteFunction(self.mesh, self.coeffs)(x[inner], deriv)
         if (~inner).any():
-            xo = x[~inner] + self.mesh.a
+            # e^{ks} (p + q E(s)), E(s) = expm1((tau - k) s) / (tau - k),
+            # with p = phi(-a), q = phi'(-a) - k phi(-a) and s = x + a
+            s = x[~inner] + self.mesh.a
             k, tau = self.k, self.tau
-            a1, a2 = self.tail
-            out[~inner] = (a1 * k**deriv * np.exp(k * xo)
-                           + a2 * tau**deriv * np.exp(tau * xo))
+            p = self.coeffs[0]
+            q = self.coeffs[1] - k * p
+            rising = sum(tau**i * k**(deriv - 1 - i) for i in range(deriv))
+            e = np.expm1((tau - k) * s) / (tau - k)
+            out[~inner] = np.exp(k * s) * (p * k**deriv
+                                           + q * (tau**deriv * e + rising))
         return float(out[0]) if scalar else out
 
 

@@ -21,9 +21,9 @@ pencil's matrices, with relative noise of about eps * cond(K).  The root
 finder reads ``branch_evaluation`` instead: the Rayleigh quotient of each
 eigenvector with both quadratic forms summed as squares at the quadrature
 points, which is free of that noise, and its rate derivative.  The forms
-are those of the parameters and form cache the pencil carries:
-``discretization.form_cache(mesh, profile)``, which every pencil of one
-mesh and profile shares.
+are those of the mesh, profile and parameters the pencil carries, found
+through the memoized functions of ``discretization``, which every pencil
+of one mesh and profile shares.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ import scipy.linalg as sla
 
 from .discretization import (
     ENDPOINT_DOFS,
-    FormCache,
     Mesh,
     assemble_boundary_forms,
-    form_cache,
+    interior_forms,
+    layer_values,
     quadrature_values,
     tau_decay,
+    weighted_mass,
 )
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import CoercivityError
@@ -69,10 +70,10 @@ _GUARD_VECTORS = 2
 class PencilAssembly:
     """Operator matrix K and stratification mass Mw at fixed (lam, k): N x N arrays.
 
-    ``params`` and ``cache`` are the ones the pencil was assembled from, the
-    cache being ``form_cache(mesh, profile)``; ``Mw`` is its read-only
-    WMASS.  ``branch_evaluation`` recomputes its Rayleigh quotient from
-    their forms, not from K and Mw.  A pencil whose matrices were replaced (say
+    ``mesh``, ``profile`` and ``params`` are the ones the pencil was
+    assembled from; ``Mw`` is their read-only ``weighted_mass``.
+    ``branch_evaluation`` recomputes its Rayleigh quotient from their
+    forms, not from K and Mw.  A pencil whose matrices were replaced (say
     with ``dataclasses.replace(K=..., Mw=...)``) is therefore for
     ``gamma_values`` and ``gamma_spectrum`` only.
     """
@@ -82,7 +83,8 @@ class PencilAssembly:
     lam: float
     k: float
     params: PhysicalParams
-    cache: FormCache
+    mesh: Mesh
+    profile: DensityProfile
 
     @property
     def moment_row(self) -> np.ndarray:
@@ -92,7 +94,7 @@ class PencilAssembly:
         + 4 d_N)/h, so phi''(0) + k^2 phi(0) = 0 solves to
         d_N = -(3/2h) v_{N-1} - d_{N-1}/2 + (3/2h - k^2 h/4) v_N.
         """
-        h, k = self.cache.mesh.h, self.k
+        h, k = self.mesh.h, self.k
         return np.array([-1.5 / h, -0.5, 1.5 / h - 0.25 * k * k * h])
 
 
@@ -147,8 +149,7 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     definiteness check of the full K: ``eigh`` factors the
     moment-constrained K.
     """
-    cache = form_cache(mesh, profile)
-    h2, wgrad = cache.interior(k)
+    h2, wgrad = interior_forms(mesh, profile, k)
     bv0, bva = assemble_boundary_forms(k, lam, params, profile)
     kmat = lam * wgrad + params.mu * h2
     kmat[_ENDPOINT_BLOCK] += bv0
@@ -160,8 +161,8 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         raise CoercivityError(
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"
         ) from exc
-    return PencilAssembly(K=kmat, Mw=cache.wmass, lam=lam, k=k,
-                          params=params, cache=cache)
+    return PencilAssembly(K=kmat, Mw=weighted_mass(mesh, profile), lam=lam,
+                          k=k, params=params, mesh=mesh, profile=profile)
 
 
 def _lower_band(matrix: np.ndarray) -> np.ndarray:
@@ -261,10 +262,10 @@ def _rayleigh(pencil: PencilAssembly,
     (Lancaster 1964) with K' = WGRAD - (g k^2 rho+ / lam^2) e e^T
     + (d BVA / d tau) rho- / (2 mu tau).
     """
-    params, cache, k, lam = pencil.params, pencil.cache, pencil.k, pencil.lam
-    profile, mu, k2 = cache.profile, params.mu, k * k
-    w, rho, drho = cache.layer
-    v, dv, ddv = quadrature_values(cache.mesh, vector)
+    params, profile = pencil.params, pencil.profile
+    k, lam, mu, k2 = pencil.k, pencil.lam, params.mu, pencil.k * pencil.k
+    w, rho, drho = layer_values(pencil.mesh, profile)
+    v, dv, ddv = quadrature_values(pencil.mesh, vector)
     wgrad = (w * rho) @ (k2 * v * v + dv * dv)
     h2 = w @ (ddv * ddv + 2.0 * k2 * dv * dv + k2 * k2 * v * v)
     mass = (w * drho) @ (v * v)

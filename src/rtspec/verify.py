@@ -21,7 +21,8 @@ from .discretization import (
     assemble_h2_form,
     boundary_quotient_form,
     build_mesh,
-    form_cache,
+    interior_forms,
+    layer_values,
     quadrature_values,
 )
 from .equilibria import DensityProfile, PhysicalParams, char_length
@@ -90,7 +91,7 @@ def coercivity_ratio(mesh: Mesh, profile: DensityProfile, params: PhysicalParams
     rate and in the stratification shape.
     """
     pencil = assemble_B(mesh, profile, params, k, lam)
-    vals = sla.eigh(pencil.K / params.mu, pencil.cache.interior(k)[0],
+    vals = sla.eigh(pencil.K / params.mu, interior_forms(mesh, profile, k)[0],
                     eigvals_only=True, subset_by_index=(0, 0))
     return float(vals[0])
 
@@ -141,7 +142,7 @@ def _energy_terms(phi: HalfLineFunction, profile: DensityProfile,
     of ``phi`` at ``rate`` over the half line, one value per function of
     a block.  A mode at its own rate sums them to zero."""
     k = phi.k
-    w, rho, drho = form_cache(phi.mesh, profile).layer
+    w, rho, drho = layer_values(phi.mesh, profile)
     v, dv, ddv = quadrature_values(phi.mesh, phi.coeffs)
     p = phi.coeffs[0]
     mass_out, grad_out, stress_out = tail_integrals(p, phi.coeffs[1] - k * p,

@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import pytest
 
 import rtspec as rt
+from rtspec import discretization
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +64,17 @@ def mode128(mesh128, profile, params):
 def lattice_max(mesh64, profile, params):
     """Shared lambda_max result at Kmax=8 (the expensive sweep)."""
     return rt.lambda_max(mesh64, profile, params, 8.0)
+
+
+@pytest.fixture
+def clear_forms():
+    """Empty the memos of the interior forms, so that the next call
+    assembles anew; returns the function that does it, to clear again."""
+    def clear():
+        for memo in (discretization.weighted_mass,
+                     discretization.interior_forms,
+                     discretization.layer_values):
+            memo.cache_clear()
+
+    clear()
+    return clear

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 # workload -> its exit code by design (verify's four monotone-gamma rows fail)
-EXPECTED_EXIT = {"sweep": 0, "verify": 1}
+EXPECTED_EXIT = {"lattice": 0, "sweep": 0, "verify": 1}
 
 
 @pytest.fixture(scope="module")

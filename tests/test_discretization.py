@@ -12,9 +12,12 @@ from rtspec.discretization import (
     assemble_weighted_gradient_form,
     assemble_weighted_mass,
     boundary_quotient_form,
+    interior_forms,
+    layer_values,
     quadrature,
     quadrature_values,
     tau_decay,
+    weighted_mass,
 )
 from rtspec.errors import ConfigError
 
@@ -262,25 +265,37 @@ def test_quadrature_values_match_hermite_evaluation(n_elements):
                 1e-13 * np.abs(expected).max())
 
 
+FORM_MEMOS = (weighted_mass, interior_forms, layer_values)
+
+
+def _forms(mesh, profile, k=1.0):
+    """The three memos' values at one key, in ``FORM_MEMOS`` order."""
+    return (weighted_mass(mesh, profile), interior_forms(mesh, profile, k),
+            layer_values(mesh, profile))
+
+
 def test_form_cache_is_one_per_mesh_and_profile(profile):
-    mesh = rt.build_mesh(1.0, 8)
-    assert rt.form_cache(mesh, profile) is rt.form_cache(mesh, profile)
+    # meshes compare by value: an equal mesh built again shares the forms
+    mesh, again = rt.build_mesh(1.0, 8), rt.build_mesh(1.0, 8)
+    assert mesh == again and hash(mesh) == hash(again) and mesh is not again
+    assert mesh != rt.build_mesh(1.0, 8, quadrature_points=12)
+    first = _forms(mesh, profile)
+    for shared, fresh in zip(first, _forms(again, profile)):
+        assert shared is fresh
 
 
 def test_form_cache_keeps_only_the_last_mesh_and_profile(profile,
                                                          quintic_profile):
     mesh = rt.build_mesh(1.0, 8)
-    first = rt.form_cache(mesh, profile)
-    # meshes compare by identity: a new mesh of the same size is a new key
-    other = rt.form_cache(rt.build_mesh(1.0, 8), profile)
-    assert other is not first and other.mesh is not mesh
-    assert rt.form_cache(mesh, quintic_profile).profile is quintic_profile
-    assert rt.form_cache.cache_info().currsize == 1
-    assert rt.form_cache(mesh, profile) is not first
+    first = _forms(mesh, profile)
+    _forms(mesh, quintic_profile, k=2.0)
+    assert [memo.cache_info().currsize for memo in FORM_MEMOS] == [1, 1, 1]
+    for old, new in zip(first, _forms(mesh, profile)):
+        assert old is not new
 
 
 def test_form_cache_arrays_are_read_only(profile):
-    cache = rt.form_cache(rt.build_mesh(1.0, 8), profile)
-    for array in (cache.wmass, *cache.interior(1.0), *cache.layer):
+    wmass, interior, layer = _forms(rt.build_mesh(1.0, 8), profile)
+    for array in (wmass, *interior, *layer):
         with pytest.raises(ValueError):
             array[0] = 1.0

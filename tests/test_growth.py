@@ -317,20 +317,31 @@ def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
         assert rec.stats.block_evaluations == rec.iterations
 
 
-def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch):
-    caches = []
+def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch,
+                                     clear_forms):
+    assembled = {"h2": [], "wmass": 0}
+    assemble_h2, assemble_wmass = (discretization.assemble_h2_form,
+                                   discretization.assemble_weighted_mass)
 
-    class RecordedCache(rt.FormCache):
-        def __init__(self, *args):
-            super().__init__(*args)
-            caches.append(self)
+    def counted_h2(mesh, k):
+        assembled["h2"].append(k)
+        return assemble_h2(mesh, k)
 
-    monkeypatch.setattr(discretization, "FormCache", RecordedCache)
+    def counted_wmass(mesh, prof):
+        assembled["wmass"] += 1
+        return assemble_wmass(mesh, prof)
+
+    monkeypatch.setattr(discretization, "assemble_h2_form", counted_h2)
+    monkeypatch.setattr(discretization, "assemble_weighted_mass",
+                        counted_wmass)
     mesh = rt.build_mesh(1.0, 16)
     k_values = np.geomspace(0.25, 4.0, 50)
     rt.dispersion(mesh, profile, params, k_values, 1)
-    assert len(caches) == 1
-    assert list(caches[0]._by_k) == [k_values[-1]]
+    # WMASS once, H2 once per k, and only the last k's forms are kept
+    assert assembled == {"h2": list(k_values), "wmass": 1}
+    assert discretization.interior_forms.cache_info().currsize == 1
+    discretization.interior_forms(mesh, profile, k_values[-1])
+    assert len(assembled["h2"]) == k_values.size
 
 
 @pytest.mark.parametrize("n_elements", [64, 128])

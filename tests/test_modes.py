@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import inspect
 import math
 
@@ -34,6 +35,11 @@ def test_outer_coefficients_pure_branches():
         assert k * a1 + tau * a2 == pytest.approx(d, abs=1e-14)
     with pytest.raises(ValueError):
         rt.outer_coefficients(1.0, 1.0, 1.0, 1.0)
+    # a half-line function's tail divides by tau - k wherever it is read
+    mesh = rt.build_mesh(1.0, 4)
+    with pytest.raises(ValueError):
+        rt.HalfLineFunction(mesh=mesh, coeffs=np.ones(mesh.dof_count), k=k,
+                            tau=k)
 
 
 def test_mode_basic_closures(mode64):
@@ -126,6 +132,34 @@ def test_mode_depth_is_not_a_mode_parameter():
         "phi", "k_component", "k"]
     fields = {f.name for f in dataclasses.fields(HorizontalAmplitude)}
     assert fields == {"phi", "factor"}
+
+
+def _exact_tail(p, q, k, tau, s, deriv):
+    """Derivative ``deriv`` of p e^{ks} + q (e^{tau s} - e^{ks}) / (tau - k)
+    in 40-digit decimal arithmetic from the floats given."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        p, q, k, tau, s = map(decimal.Decimal, (p, q, k, tau, s))
+        ek, et = (k * s).exp(), (tau * s).exp()
+        value = p * k**deriv * ek + q * (tau**deriv * et - k**deriv * ek) / (
+            tau - k)
+        return float(value)
+
+
+def test_tail_is_exact_as_tau_nears_k():
+    # slow growth and strong viscosity: tau - k = 3.4e-7, and the tail
+    # coefficients A1 = -A2 = 3.3e6 would cancel to 4e-10 here
+    profile = rt.DensityProfile(rho_minus=1.0, rho_plus=1.1, a=1.0)
+    params = rt.PhysicalParams(mu=20.0, g=0.04)
+    mode = rt.build_normal_mode(rt.build_mesh(1.0, 64), profile, params,
+                                (1.0, 0.0), 1)
+    phi, k = mode.phi, mode.k
+    assert phi.tau - k < 1e-6
+    p, q = phi.coeffs[0], phi.coeffs[1] - k * phi.coeffs[0]
+    x = np.linspace(-11.0, -1.001, 25)
+    for deriv in (0, 1):
+        exact = [_exact_tail(p, q, k, phi.tau, xi + 1.0, deriv) for xi in x]
+        assert np.abs(phi(x, deriv) - exact).max() <= 1e-13
 
 
 def test_pressure_uniform_profile_oracle(params):

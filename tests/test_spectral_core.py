@@ -5,7 +5,12 @@ import pytest
 
 import rtspec as rt
 from rtspec import spectral_core
-from rtspec.discretization import ENDPOINT_DOFS, assemble_boundary_forms
+from rtspec.discretization import (
+    ENDPOINT_DOFS,
+    assemble_boundary_forms,
+    interior_forms,
+    weighted_mass,
+)
 from rtspec.errors import CoercivityError
 from rtspec.spectral_core import (
     DROP_THRESHOLD,
@@ -51,8 +56,7 @@ def test_assemble_B_adds_endpoint_blocks_at_endpoint_dofs(profile, params,
     # endpoint block standing for the N x N matrix it is embedded in
     k, lam = 1.3, 0.2
     mesh = rt.build_mesh(profile.a, n_elements)
-    cache = rt.form_cache(mesh, profile)
-    h2, wgrad = cache.interior(k)
+    h2, wgrad = interior_forms(mesh, profile, k)
     embedded = []
     for form in assemble_boundary_forms(k, lam, params, profile):
         full = np.zeros_like(h2)
@@ -61,7 +65,7 @@ def test_assemble_B_adds_endpoint_blocks_at_endpoint_dofs(profile, params,
     expected = lam * wgrad + params.mu * h2 + embedded[0] + embedded[1]
     pencil = rt.assemble_B(mesh, profile, params, k, lam)
     assert np.array_equal(pencil.K, expected)
-    assert pencil.Mw is cache.wmass
+    assert pencil.Mw is weighted_mass(mesh, profile)
 
 
 def test_degenerate_profile_keeps_operator_spd(degenerate_profile, params,
@@ -76,7 +80,7 @@ def test_rate_dependence_is_gradient_form_plus_boundary(profile, params,
     lam1, lam2, k = 0.2, 0.7, 1.0
     k1 = rt.assemble_B(mesh64, profile, params, k, lam1).K
     k2 = rt.assemble_B(mesh64, profile, params, k, lam2).K
-    wgrad = rt.form_cache(mesh64, profile).interior(k)[1]
+    wgrad = interior_forms(mesh64, profile, k)[1]
     interior = np.ones(mesh64.dof_count, bool)
     interior[[0, 1, -2, -1]] = False
     diff = (k2 - k1)[np.ix_(interior, interior)]
@@ -233,17 +237,13 @@ def test_drop_threshold_is_tiny():
     assert DROP_THRESHOLD <= 1e-12
 
 
-class IndefiniteH2Cache(rt.FormCache):
-    """Form cache whose H2 is replaced by a symmetric indefinite matrix."""
+def indefinite_h2_forms(variant):
+    """``interior_forms`` with H2 replaced by a symmetric indefinite matrix."""
 
-    def __init__(self, mesh, profile, variant):
-        super().__init__(mesh, profile)
-        self.variant = variant
-
-    def interior(self, k):
-        h2, wgrad = super().interior(k)
+    def forms(mesh, profile, k):
+        h2, wgrad = interior_forms(mesh, profile, k)
         bad = -h2
-        if self.variant == "outer-band":
+        if variant == "outer-band":
             # positive diagonal, but a 2x2 principal minor on the outermost
             # band diagonal is negative
             bad = h2.copy()
@@ -251,13 +251,15 @@ class IndefiniteH2Cache(rt.FormCache):
             bad[i, i + 3] = bad[i + 3, i] = 10.0 * np.abs(bad).max()
         return bad, wgrad
 
+    return forms
+
 
 @pytest.mark.parametrize("n_elements", [64, 128])
 @pytest.mark.parametrize("variant", ["negated", "outer-band"])
 def test_assemble_B_rejects_indefinite_operator(profile, params, n_elements,
                                                 variant, monkeypatch):
     mesh = rt.build_mesh(profile.a, n_elements)
-    cache = IndefiniteH2Cache(mesh, profile, variant)
-    monkeypatch.setattr(spectral_core, "form_cache", lambda *args: cache)
+    monkeypatch.setattr(spectral_core, "interior_forms",
+                        indefinite_h2_forms(variant))
     with pytest.raises(CoercivityError):
         rt.assemble_B(mesh, profile, params, 1.0, 0.5)
