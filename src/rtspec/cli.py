@@ -1,9 +1,9 @@
 """Command-line interface: dispersion tables, lattice maxima, mode files, checks.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 no unstable
-branch, 4 numerical failure.  Every output file embeds the fully resolved
-configuration as comment lines, and reruns with identical configuration
-are byte-identical.
+Exit codes: 0 success, 2 configuration or usage error (a size that
+cannot be allocated included), 3 no unstable branch, 4 numerical
+failure.  Every output file embeds the fully resolved configuration as
+comment lines, and reruns with identical configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -105,15 +105,16 @@ def cmd_lambda_max(config: RunConfig, args) -> int:
 
 def cmd_mode(config: RunConfig, args) -> int:
     L1, L2 = config["lattice.L1"], config["lattice.L2"]
-    if not (math.isfinite(args.k1) and math.isfinite(args.k2)):
-        raise ConfigError("k1 and k2 must be finite")
     if args.k1 == 0.0 and args.k2 == 0.0:
         raise ConfigError("zero wavenumber excluded")
     if args.n < 1:
         raise ConfigError("n must be at least 1")
     for label, value, period in (("k1", args.k1, L1), ("k2", args.k2, L2)):
+        steps = value * period
+        if not math.isfinite(steps):
+            raise ConfigError(f"{label} * lattice.L{label[1]} = {steps} is not finite")
         # a nonzero value is never lattice point 0, however close to it
-        steps, snapped = value * period, round(value * period)
+        snapped = round(steps)
         if snapped == 0 and value != 0.0:
             snapped = int(math.copysign(1.0, steps))
         if abs(steps - snapped) > 1e-9 * max(1.0, abs(steps)):
@@ -205,8 +206,8 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(config, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except NoUnstableBranchError as exc:
         print(f"no unstable branch: {exc}", file=sys.stderr)

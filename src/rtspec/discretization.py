@@ -131,10 +131,9 @@ def hermite_shapes(xi: np.ndarray, h: float) -> np.ndarray:
 
 
 def quadrature(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points and weights, each shape (n_elements, n_quad)."""
+    """Physical quadrature points and weights, 1-D and element-major."""
     xi, wq = mesh.reference_quadrature
-    pts = mesh.nodes[:-1, None] + mesh.h * xi[None, :]
-    return pts, np.broadcast_to(wq, pts.shape).copy()
+    return (mesh.nodes[:-1, None] + mesh.h * xi).ravel(), np.tile(wq, mesh.n_elements)
 
 
 def quadrature_values(mesh: Mesh, coeffs: np.ndarray) -> np.ndarray:
@@ -142,7 +141,7 @@ def quadrature_values(mesh: Mesh, coeffs: np.ndarray) -> np.ndarray:
 
     ``coeffs`` is one DOF vector or a matrix whose columns are DOF vectors.
     Returns shape (3, n_points) or (3, n_points, m): [derivative order,
-    point, column], with the points ordered as ``quadrature(mesh)[0].ravel()``.
+    point, column], with the points ordered as ``quadrature(mesh)[0]``.
     Each element combines only its own four DOFs.
     """
     local = coeffs[mesh.element_dofs]
@@ -164,17 +163,14 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> np.ndarray:
 def _interior_form(mesh: Mesh, coeffs: dict[int, np.ndarray | float]) -> np.ndarray:
     """Assemble sum_m integral c_m(x) * d^m v * d^m w over the mesh.
 
-    ``coeffs`` maps derivative order to either a constant or a per
-    (element, quad point) coefficient array.
+    ``coeffs`` maps derivative order to a constant or to one value per
+    point of ``quadrature(mesh)``.
     """
-    xi, wq = mesh.reference_quadrature
+    _, wq = mesh.reference_quadrature
     local = np.zeros((mesh.n_elements, 4, 4))
     for order, c in coeffs.items():
         n = mesh.quadrature_shapes[order]
-        if np.ndim(c) == 0:
-            weight = np.broadcast_to(float(c) * wq, (mesh.n_elements, xi.size))
-        else:
-            weight = np.asarray(c, dtype=float) * wq[None, :]
+        weight = (c * np.tile(wq, mesh.n_elements)).reshape(mesh.n_elements, -1)
         local = local + np.einsum("eq,qi,qj->eij", weight, n, n)
     return _scatter(mesh, local)
 
@@ -193,13 +189,13 @@ def assemble_weighted_gradient_form(mesh: Mesh, profile: DensityProfile,
     """Matrix of integral rho0 (k^2 v w + v' w'); positive definite."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
-    rho = profile.rho0(quadrature(mesh)[0])
+    _, rho, _ = layer_values(mesh, profile)
     return _interior_form(mesh, {0: k**2 * rho, 1: rho})
 
 
 def assemble_weighted_mass(mesh: Mesh, profile: DensityProfile) -> np.ndarray:
     """Matrix of integral drho0 v w; positive semidefinite."""
-    drho = profile.drho0(quadrature(mesh)[0])
+    _, _, drho = layer_values(mesh, profile)
     return _interior_form(mesh, {0: drho})
 
 
@@ -221,11 +217,10 @@ def interior_forms(mesh: Mesh, profile: DensityProfile,
 @lru_cache(maxsize=1)
 def layer_values(mesh: Mesh, profile: DensityProfile
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weights, rho0, drho0) at the raveled quadrature points, read-only;
-    the data that quadrature sums over element functions read."""
-    pts, wts = quadrature(mesh)
-    x = pts.ravel()
-    return (_read_only(wts.ravel()), _read_only(profile.rho0(x)),
+    """(weights, rho0, drho0) at the points of ``quadrature(mesh)``, read-only:
+    the one sampling of the profile that the weighted forms and sums read."""
+    x, w = quadrature(mesh)
+    return (_read_only(w), _read_only(profile.rho0(x)),
             _read_only(profile.drho0(x)))
 
 

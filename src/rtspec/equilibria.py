@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -44,6 +44,33 @@ def _bump_shape(y: np.ndarray) -> np.ndarray:
     yi = y[inside]
     out[inside] = np.exp(-1.0 / (1.0 - yi * yi))
     return out
+
+
+@cache
+def _bump_table() -> tuple[np.ndarray, np.ndarray, float]:
+    """(panel edges, cumulative integral at edges, total) for the bump shape."""
+    edges = np.linspace(-1.0, 1.0, _BUMP_PANELS + 1)
+    t, w = _BUMP_GL_NODES
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * t[None, :]
+    panel = (half[:, None] * w[None, :] * _bump_shape(nodes)).sum(axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(panel)))
+    return edges, cum, float(cum[-1])
+
+
+def _bump_cdf(y: np.ndarray) -> np.ndarray:
+    """Normalized integral of the bump shape from -1 to y, clipped to [0, 1]."""
+    edges, cum, total = _bump_table()
+    y = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
+    idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, _BUMP_PANELS - 1)
+    left = edges[idx]
+    t, w = _BUMP_GL_NODES
+    mid = 0.5 * (left + y)
+    half = 0.5 * (y - left)
+    nodes = mid[..., None] + half[..., None] * t
+    partial = (half[..., None] * w * _bump_shape(nodes)).sum(axis=-1)
+    return np.clip((cum[idx] + partial) / total, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,20 +118,6 @@ class DensityProfile:
     def delta(self) -> float:
         return self.rho_plus - self.rho_minus
 
-    # -- bump integration tables ------------------------------------------
-
-    @cached_property
-    def _bump_table(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(panel edges, cumulative integral at edges, total) for the bump shape."""
-        edges = np.linspace(-1.0, 1.0, _BUMP_PANELS + 1)
-        t, w = _BUMP_GL_NODES
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = mid[:, None] + half[:, None] * t[None, :]
-        panel = (half[:, None] * w[None, :] * _bump_shape(nodes)).sum(axis=1)
-        cum = np.concatenate(([0.0], np.cumsum(panel)))
-        return edges, cum, float(cum[-1])
-
     @cached_property
     def _peak_ratio(self) -> float:
         """max drho0/rho0 on [-a, 0], by a coarse grid refined by zooming.
@@ -125,19 +138,6 @@ class DensityProfile:
             h /= _PEAK_ZOOM
         return peak
 
-    def _bump_cdf(self, y: np.ndarray) -> np.ndarray:
-        """Normalized integral of the bump shape from -1 to y, clipped to [0, 1]."""
-        edges, cum, total = self._bump_table
-        y = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
-        idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, _BUMP_PANELS - 1)
-        left = edges[idx]
-        t, w = _BUMP_GL_NODES
-        mid = 0.5 * (left + y)
-        half = 0.5 * (y - left)
-        nodes = mid[..., None] + half[..., None] * t
-        partial = (half[..., None] * w * _bump_shape(nodes)).sum(axis=-1)
-        return np.clip((cum[idx] + partial) / total, 0.0, 1.0)
-
     # -- evaluation --------------------------------------------------------
 
     def _check_domain(self, x3: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ class DensityProfile:
             t = np.clip((x + self.a) / self.a, 0.0, 1.0)
             f = t**3 * (6.0 * t**2 - 15.0 * t + 10.0)
         else:
-            f = self._bump_cdf((2.0 * x + self.a) / self.a)
+            f = _bump_cdf((2.0 * x + self.a) / self.a)
         out = self.rho_minus + self.delta * f
         return out if out.ndim else float(out)
 
@@ -169,7 +169,7 @@ class DensityProfile:
             ti = t[inside]
             out[inside] = 30.0 * self.delta / self.a * ti**2 * (1.0 - ti) ** 2
         else:
-            _, _, total = self._bump_table
+            _, _, total = _bump_table()
             scale = 2.0 * self.delta / (self.a * total)
             out = scale * _bump_shape((2.0 * x + self.a) / self.a)
         return out if out.ndim else float(out)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .discretization import HermiteFunction, Mesh, tau_decay
 from .equilibria import DensityProfile, PhysicalParams
-from .errors import NoUnstableBranchError, NumericalError
+from .errors import ConfigError, NoUnstableBranchError, NumericalError
 from .growth_solver import (NO_UNSTABLE_BRANCH, GrowthRecord, SolverSettings,
                             solve_lambda_n)
 from .spectral_core import assemble_B, gamma_spectrum
@@ -323,7 +323,10 @@ def mode_table(mode: NormalMode, samples: int = DEFAULT_SAMPLES,
         "tau_minus": mode.phi.tau, "nu": mode.nu,
     }
     h = mode.mesh.h
-    depth = mode.mesh.a + max(2, math.ceil(domain_factor / (mode.k * h))) * h
+    widths = domain_factor / (mode.k * h)
+    if not math.isfinite(widths):
+        raise ConfigError("modes.domain_factor / (k h) overflows")
+    depth = mode.mesh.a + max(2, math.ceil(widths)) * h
     x = np.linspace(-depth, 0.0, samples)
     rows = np.column_stack([
         x,

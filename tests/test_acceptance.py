@@ -232,8 +232,7 @@ def test_c09_mode_consistency(profile, params, mesh128):
 
 def test_c09_divergence_identity(profile, params, mesh128):
     mode = rt.build_normal_mode(mesh128, profile, params, (0.6, 0.8), 1)
-    pts, _ = quadrature(mode.mesh)
-    x = pts.ravel()
+    x, _ = quadrature(mode.mesh)
     k1, k2 = mode.k_vec
     div = k1 * mode.psi(x) + k2 * mode.varphi(x) + mode.phi(x, 1)
     scale = np.max(np.abs(k1 * mode.psi(x)) + np.abs(k2 * mode.varphi(x))

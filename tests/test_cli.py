@@ -452,6 +452,25 @@ _BAD_INPUTS = {
     "tiny-gravity-mode": (b"params.g = 1e-300\nmesh.n_elements = 8\n",
                           ["mode", "--k1", "1", "--k2", "0",
                            "--out", "{tmp}/x.csv"]),
+    # k1 * L1 overflows to inf before it is snapped to the lattice
+    "mode-k-times-period-overflows": (
+        b"lattice.L1 = 10\n", ["mode", "--k1", "1e308", "--k2", "0",
+                                "--out", "{tmp}/x.csv"]),
+    "mode-period-times-k-overflows": (
+        b"lattice.L1 = 1e300\n", ["mode", "--k1", "1e10", "--k2", "0",
+                                  "--out", "{tmp}/x.csv"]),
+    # the mode file's depth, domain_factor / (k h) element widths, is inf
+    "mode-domain-factor-overflows": (
+        b"modes.domain_factor = 1e308\n",
+        ["mode", "--k1", "1", "--k2", "0", "--out", "{tmp}/x.csv"]),
+    # first arrays far beyond the address space: they fail at once
+    "dispersion-mesh-too-large": (
+        b"mesh.n_elements = 1000000000000000\n",
+        ["dispersion", "--k-min", "1", "--k-max", "1", "--n-k", "1",
+         "--out", "{tmp}/x.csv"]),
+    "mode-samples-too-many": (
+        b"modes.samples = 1000000000000000\n",
+        ["mode", "--k1", "1", "--k2", "0", "--out", "{tmp}/x.csv"]),
 }
 
 

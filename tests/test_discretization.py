@@ -250,7 +250,8 @@ def test_quadrature_weights_integrate_exactly(mesh64):
 @pytest.mark.parametrize("n_elements", [64, 128])
 def test_quadrature_values_match_hermite_evaluation(n_elements):
     mesh = rt.build_mesh(1.0, n_elements)
-    x = quadrature(mesh)[0].ravel()
+    x = quadrature(mesh)[0]
+    assert x.ndim == 1
     c = np.random.default_rng(n_elements).standard_normal((mesh.dof_count, 2))
     values = quadrature_values(mesh, c)
     assert values.shape == (3, x.size, 2)

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 
 import rtspec as rt
+from rtspec import equilibria
 from rtspec.errors import ConfigError
 
 
@@ -68,6 +69,18 @@ def test_bump_cdf_against_independent_quadrature(profile):
     rng = np.random.default_rng(7)
     for x in rng.uniform(-1.0, 0.0, 8):
         assert profile.rho0(x) - 1.0 == pytest.approx(reference(x), abs=1e-13)
+
+
+def test_bump_table_is_one_per_process(profile):
+    # the table reads no profile parameter: unequal profiles share it,
+    # and no profile holds a copy
+    other = rt.DensityProfile(rho_minus=2.0, rho_plus=5.0, a=3.0)
+    assert other != profile
+    for p in (profile, other):
+        p.rho0(-0.5 * p.a)
+        assert not hasattr(p, "_bump_table")
+    assert equilibria._bump_table() is equilibria._bump_table()
+    assert equilibria._bump_table.cache_info().currsize == 1
 
 
 def test_nonnegative_gradient_and_monotone_density(profile):

@@ -335,10 +335,26 @@ def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch,
     monkeypatch.setattr(discretization, "assemble_weighted_mass",
                         counted_wmass)
     mesh = rt.build_mesh(1.0, 16)
+    x_quad = discretization.quadrature(mesh)[0]
+    sampled = {"rho0": 0, "drho0": 0}
+
+    def count_samples(name):
+        method = getattr(rt.DensityProfile, name)
+
+        def counted(self, x3):
+            if np.shape(x3) == x_quad.shape and np.array_equal(x3, x_quad):
+                sampled[name] += 1
+            return method(self, x3)
+        monkeypatch.setattr(rt.DensityProfile, name, counted)
+
+    count_samples("rho0")
+    count_samples("drho0")
     k_values = np.geomspace(0.25, 4.0, 50)
     rt.dispersion(mesh, profile, params, k_values, 1)
     # WMASS once, H2 once per k, and only the last k's forms are kept
     assert assembled == {"h2": list(k_values), "wmass": 1}
+    # the profile is sampled at the quadrature points once, not once per k
+    assert sampled == {"rho0": 1, "drho0": 1}
     assert discretization.interior_forms.cache_info().currsize == 1
     discretization.interior_forms(mesh, profile, k_values[-1])
     assert len(assembled["h2"]) == k_values.size

@@ -14,8 +14,7 @@ from rtspec.modes import DEFAULT_DOMAIN_FACTOR, MODE_COLUMNS, HorizontalAmplitud
 
 def divergence_residual(mode):
     """Max |k1 psi + k2 varphi + phi'| at layer quadrature nodes, and its scale."""
-    pts, _ = quadrature(mode.mesh)
-    x = pts.ravel()
+    x, _ = quadrature(mode.mesh)
     k1, k2 = mode.k_vec
     div = k1 * mode.psi(x) + k2 * mode.varphi(x) + mode.phi(x, 1)
     scale = np.max(np.abs(k1 * mode.psi(x)) + np.abs(k2 * mode.varphi(x))

@@ -164,8 +164,7 @@ def test_inequality_tight_at_argmax(profile, params, mesh64, lattice_max):
 def _pointwise_inequality_residual(Lambda, trial, profile, params):
     """The bound's residual, (lhs - rhs) / rhs, with the layer norms
     evaluated point by point."""
-    pts, wts = quadrature(trial.mesh)
-    x, w = pts.ravel(), wts.ravel()
+    x, w = quadrature(trial.mesh)
     k = trial.k
     v, dv, ddv = trial(x), trial(x, 1), trial(x, 2)
     strat_mass = float(w @ (profile.drho0(x) * v * v))
