@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +54,13 @@ def _record_row(r: GrowthRecord) -> str:
 
 
 def _failed(records) -> bool:
-    """Count records that failed other than by an absent branch on stderr."""
-    bad = sum(not r.converged and r.reason != NO_UNSTABLE_BRANCH for r in records)
-    if bad:
-        print(f"{bad} record(s) failed to converge", file=sys.stderr)
-    return bad > 0
+    """If a record failed other than by an absent branch, count by reason on stderr."""
+    reasons = Counter(r.reason for r in records if not r.converged)
+    if set(reasons) <= {NO_UNSTABLE_BRANCH}:
+        return False
+    counts = ", ".join(f"{count} {reason}" for reason, count in reasons.items())
+    print(f"{reasons.total()} record(s) without a rate: {counts}", file=sys.stderr)
+    return True
 
 
 def cmd_dispersion(config: RunConfig, args) -> int:

@@ -4,10 +4,11 @@ Every symmetric form the stability operator needs lives here as a plain
 array: the H2 energy form and the density-weighted gradient and mass forms
 as N x N matrices; the two boundary forms (surface and matching depth)
 and the endpoint quotient form, whose pencil eigenvalues have closed-form
-values, as 4x4 blocks on the endpoint DOFs.  The interior forms depend
-on the mesh, the profile and k only: ``weighted_mass``, ``interior_forms``
-and ``layer_values`` are memoized functions of exactly those, so every
-caller shares one read-only copy.  Meshes compare by value.
+values, as 4x4 blocks on the endpoint DOFs.  H2 = S2 + 2 k^2 S1 + k^4 S0
+and WGRAD = k^2 R0 + R1 combine parts assembled once: ``Mesh.h2_parts``
+per mesh, ``layer_forms`` (the profile at the Gauss points, WMASS, R0,
+R1) per (mesh, profile); ``interior_forms`` keeps one k's (H2, WGRAD).
+All are read-only and shared; meshes compare by value.
 
 Degrees of freedom are interleaved (value, slope) per node, so those are
 ``ENDPOINT_DOFS``: value and slope at x = -a, then at x = 0.
@@ -70,6 +71,11 @@ class Mesh:
         e = np.arange(self.n_elements)
         return _read_only(np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3],
                                     axis=1))
+
+    @cached_property
+    def h2_parts(self) -> tuple[np.ndarray, ...]:
+        """H2's parts (S0, S1, S2), S_m = integral d^m v d^m w; read-only."""
+        return tuple(_read_only(_interior_form(self, m, 1.0)) for m in range(3))
 
     @property
     def h(self) -> float:
@@ -160,28 +166,34 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> np.ndarray:
     return 0.5 * (full + full.T)
 
 
-def _interior_form(mesh: Mesh, coeffs: dict[int, np.ndarray | float]) -> np.ndarray:
-    """Assemble sum_m integral c_m(x) * d^m v * d^m w over the mesh.
-
-    ``coeffs`` maps derivative order to a constant or to one value per
-    point of ``quadrature(mesh)``.
-    """
+def _interior_form(mesh: Mesh, order: int, c: np.ndarray | float) -> np.ndarray:
+    """Assemble integral c(x) * d^m v * d^m w over the mesh, m = ``order``;
+    ``c`` is a constant or one value per point of ``quadrature(mesh)``."""
     _, wq = mesh.reference_quadrature
-    local = np.zeros((mesh.n_elements, 4, 4))
-    for order, c in coeffs.items():
-        n = mesh.quadrature_shapes[order]
-        weight = (c * np.tile(wq, mesh.n_elements)).reshape(mesh.n_elements, -1)
-        local = local + np.einsum("eq,qi,qj->eij", weight, n, n)
-    return _scatter(mesh, local)
+    n = mesh.quadrature_shapes[order]
+    weight = (c * np.tile(wq, mesh.n_elements)).reshape(mesh.n_elements, -1)
+    return _scatter(mesh, np.einsum("eq,qi,qj->eij", weight, n, n))
 
 
 # -- assembled forms ---------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def layer_forms(mesh: Mesh, profile: DensityProfile) -> tuple[np.ndarray, ...]:
+    """(weights, rho0, drho0, WMASS, R0, R1), read-only: the one sampling of
+    the profile at the points of ``quadrature(mesh)``, and the integrals of
+    drho0 v w, rho0 v w and rho0 v' w'; only the last key is kept."""
+    x, w = quadrature(mesh)
+    rho, drho = profile.rho0(x), profile.drho0(x)
+    parts = (_interior_form(mesh, m, c) for m, c in ((0, drho), (0, rho), (1, rho)))
+    return tuple(_read_only(a) for a in (w, rho, drho, *parts))
+
 
 def assemble_h2_form(mesh: Mesh, k: float) -> np.ndarray:
     """Matrix of integral(v'' w'' + 2 k^2 v' w' + k^4 v w); positive definite."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
-    return _interior_form(mesh, {2: 1.0, 1: 2.0 * k**2, 0: k**4})
+    s0, s1, s2 = mesh.h2_parts
+    return s2 + 2.0 * k**2 * s1 + k**4 * s0
 
 
 def assemble_weighted_gradient_form(mesh: Mesh, profile: DensityProfile,
@@ -189,20 +201,15 @@ def assemble_weighted_gradient_form(mesh: Mesh, profile: DensityProfile,
     """Matrix of integral rho0 (k^2 v w + v' w'); positive definite."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
-    _, rho, _ = layer_values(mesh, profile)
-    return _interior_form(mesh, {0: k**2 * rho, 1: rho})
+    r0, r1 = layer_forms(mesh, profile)[4:]
+    return k**2 * r0 + r1
 
 
 def assemble_weighted_mass(mesh: Mesh, profile: DensityProfile) -> np.ndarray:
-    """Matrix of integral drho0 v w; positive semidefinite."""
-    _, _, drho = layer_values(mesh, profile)
-    return _interior_form(mesh, {0: drho})
-
-
-@lru_cache(maxsize=1)
-def weighted_mass(mesh: Mesh, profile: DensityProfile) -> np.ndarray:
-    """WMASS of (mesh, profile), read-only; only the last key is kept."""
-    return _read_only(assemble_weighted_mass(mesh, profile))
+    """WMASS of ``layer_forms``, read-only.  Nothing in the package calls
+    it: it stays because ``perfbench/tracer.py`` wraps it by name, and can
+    go once the tracer names its layers by role."""
+    return layer_forms(mesh, profile)[3]
 
 
 @lru_cache(maxsize=1)
@@ -212,16 +219,6 @@ def interior_forms(mesh: Mesh, profile: DensityProfile,
     last key is kept, so a sweep holds the forms of one k at a time."""
     return (_read_only(assemble_h2_form(mesh, k)),
             _read_only(assemble_weighted_gradient_form(mesh, profile, k)))
-
-
-@lru_cache(maxsize=1)
-def layer_values(mesh: Mesh, profile: DensityProfile
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weights, rho0, drho0) at the points of ``quadrature(mesh)``, read-only:
-    the one sampling of the profile that the weighted forms and sums read."""
-    x, w = quadrature(mesh)
-    return (_read_only(w), _read_only(profile.rho0(x)),
-            _read_only(profile.drho0(x)))
 
 
 def tau_decay(k: float, lam: float, rho_minus: float, mu: float) -> float:

@@ -192,13 +192,14 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         ends = _bracket_ends(mesh, profile, params, k, n, cap)
         dense_solves += 2
     lowers, upper = ends
-    if len(lowers) < n or upper.size < n:
+    if len(lowers) < n:
         return _no_branch(k, n)
     lower = lowers[n - 1]
     f_lo = gk2 * lower.gamma - lo
     if f_lo <= 0.0:
         return _no_branch(k, n, RATE_BELOW_FLOOR)
-    f_hi = gk2 * upper[n - 1] - hi
+    # A present branch under the cap's drop level has f(cap) = -cap there.
+    f_hi = (gk2 * upper[n - 1] if upper.size >= n else 0.0) - hi
     if f_hi >= 0.0:
         raise NumericalError(
             f"fixed-point bracket failed at k={k}, n={n}: f({cap}) >= 0")

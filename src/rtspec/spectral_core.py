@@ -38,10 +38,9 @@ from .discretization import (
     Mesh,
     assemble_boundary_forms,
     interior_forms,
-    layer_values,
+    layer_forms,
     quadrature_values,
     tau_decay,
-    weighted_mass,
 )
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import CoercivityError
@@ -71,7 +70,7 @@ class PencilAssembly:
     """Operator matrix K and stratification mass Mw at fixed (lam, k): N x N arrays.
 
     ``mesh``, ``profile`` and ``params`` are the ones the pencil was
-    assembled from; ``Mw`` is their read-only ``weighted_mass``.
+    assembled from; ``Mw`` is their read-only WMASS from ``layer_forms``.
     ``branch_evaluation`` recomputes its Rayleigh quotient from their
     forms, not from K and Mw.  A pencil whose matrices were replaced (say
     with ``dataclasses.replace(K=..., Mw=...)``) is therefore for
@@ -161,7 +160,7 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         raise CoercivityError(
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"
         ) from exc
-    return PencilAssembly(K=kmat, Mw=weighted_mass(mesh, profile), lam=lam,
+    return PencilAssembly(K=kmat, Mw=layer_forms(mesh, profile)[3], lam=lam,
                           k=k, params=params, mesh=mesh, profile=profile)
 
 
@@ -264,7 +263,7 @@ def _rayleigh(pencil: PencilAssembly,
     """
     params, profile = pencil.params, pencil.profile
     k, lam, mu, k2 = pencil.k, pencil.lam, params.mu, pencil.k * pencil.k
-    w, rho, drho = layer_values(pencil.mesh, profile)
+    w, rho, drho = layer_forms(pencil.mesh, profile)[:3]
     v, dv, ddv = quadrature_values(pencil.mesh, vector)
     wgrad = (w * rho) @ (k2 * v * v + dv * dv)
     h2 = w @ (ddv * ddv + 2.0 * k2 * dv * dv + k2 * k2 * v * v)

@@ -22,7 +22,7 @@ from .discretization import (
     boundary_quotient_form,
     build_mesh,
     interior_forms,
-    layer_values,
+    layer_forms,
     quadrature_values,
 )
 from .equilibria import DensityProfile, PhysicalParams, char_length
@@ -142,7 +142,7 @@ def _energy_terms(phi: HalfLineFunction, profile: DensityProfile,
     of ``phi`` at ``rate`` over the half line, one value per function of
     a block.  A mode at its own rate sums them to zero."""
     k = phi.k
-    w, rho, drho = layer_values(phi.mesh, profile)
+    w, rho, drho = layer_forms(phi.mesh, profile)[:3]
     v, dv, ddv = quadrature_values(phi.mesh, phi.coeffs)
     p = phi.coeffs[0]
     mass_out, grad_out, stress_out = tail_integrals(p, phi.coeffs[1] - k * p,

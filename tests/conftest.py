@@ -12,7 +12,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 import pytest
 
 import rtspec as rt
-from rtspec import discretization
 
 
 @pytest.fixture(scope="session")
@@ -68,13 +67,16 @@ def lattice_max(mesh64, profile, params):
 
 @pytest.fixture
 def clear_forms():
-    """Empty the memos of the interior forms, so that the next call
-    assembles anew; returns the function that does it, to clear again."""
+    """Empty every memo of the loaded ``rtspec`` modules (any function with
+    ``cache_clear``), so that the next call assembles anew; returns the
+    function that does it, to clear again."""
     def clear():
-        for memo in (discretization.weighted_mass,
-                     discretization.interior_forms,
-                     discretization.layer_values):
-            memo.cache_clear()
+        modules = [module for name, module in list(sys.modules.items())
+                   if name == "rtspec" or name.startswith("rtspec.")]
+        for module in modules:
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
     clear()
     return clear

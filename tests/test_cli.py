@@ -538,6 +538,10 @@ _RATE_BELOW_FLOOR = {
          "--n-max", "2", "--out", "{tmp}/x.csv"]),
     "lambda-max-mu-1e12": (b"params.mu = 1e12\nmesh.n_elements = 16\n",
                            ["lambda-max"]),
+    "dispersion-thin-layer": (
+        b"profile.a = 1e-4\n",
+        ["dispersion", "--k-min", "0.25", "--k-max", "4", "--n-k", "5",
+         "--n-max", "4", "--out", "{tmp}/x.csv"]),
 }
 
 
@@ -549,7 +553,8 @@ def test_rate_below_floor_exits_4_with_one_line(tmp_path, case):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     code, _, err = _run(argv + ["--config", str(path)])
     assert code == 4
-    assert len(err.splitlines()) == 1 and "failed to converge" in err
+    assert len(err.splitlines()) == 1
+    assert "record(s) without a rate" in err and "rate-below-floor" in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -13,11 +13,10 @@ from rtspec.discretization import (
     assemble_weighted_mass,
     boundary_quotient_form,
     interior_forms,
-    layer_values,
+    layer_forms,
     quadrature,
     quadrature_values,
     tau_decay,
-    weighted_mass,
 )
 from rtspec.errors import ConfigError
 
@@ -266,13 +265,12 @@ def test_quadrature_values_match_hermite_evaluation(n_elements):
                 1e-13 * np.abs(expected).max())
 
 
-FORM_MEMOS = (weighted_mass, interior_forms, layer_values)
+FORM_MEMOS = (layer_forms, interior_forms)
 
 
 def _forms(mesh, profile, k=1.0):
-    """The three memos' values at one key, in ``FORM_MEMOS`` order."""
-    return (weighted_mass(mesh, profile), interior_forms(mesh, profile, k),
-            layer_values(mesh, profile))
+    """The memos' values at one key, in ``FORM_MEMOS`` order."""
+    return layer_forms(mesh, profile), interior_forms(mesh, profile, k)
 
 
 def test_form_cache_is_one_per_mesh_and_profile(profile):
@@ -290,13 +288,32 @@ def test_form_cache_keeps_only_the_last_mesh_and_profile(profile,
     mesh = rt.build_mesh(1.0, 8)
     first = _forms(mesh, profile)
     _forms(mesh, quintic_profile, k=2.0)
-    assert [memo.cache_info().currsize for memo in FORM_MEMOS] == [1, 1, 1]
+    assert [memo.cache_info().currsize for memo in FORM_MEMOS] == [1, 1]
     for old, new in zip(first, _forms(mesh, profile)):
         assert old is not new
 
 
 def test_form_cache_arrays_are_read_only(profile):
-    wmass, interior, layer = _forms(rt.build_mesh(1.0, 8), profile)
-    for array in (wmass, *interior, *layer):
+    mesh = rt.build_mesh(1.0, 8)
+    layer, interior = _forms(mesh, profile)
+    assert assemble_weighted_mass(mesh, profile) is layer[3]
+    for array in (*layer, *interior, *mesh.h2_parts):
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0, 4.0])
+def test_forms_combine_their_k_free_parts(profile, k):
+    # H2 and WGRAD are the quadrature sums of their integrands at every k,
+    # though quadrature ran only for the parts that do not depend on k
+    mesh = rt.build_mesh(1.0, 16)
+    w, rho = layer_forms(mesh, profile)[:2]
+    c = np.random.default_rng(7).standard_normal((mesh.dof_count, 3))
+    v, dv, ddv = quadrature_values(mesh, c)
+    expected_h2 = w @ (ddv**2 + 2 * k**2 * dv**2 + k**4 * v**2)
+    expected_wgrad = (w * rho) @ (k**2 * v**2 + dv**2)
+    for form, expected in ((assemble_h2_form(mesh, k), expected_h2),
+                           (assemble_weighted_gradient_form(mesh, profile, k),
+                            expected_wgrad)):
+        assert np.allclose(np.einsum("ij,ik,kj->j", c, form, c), expected,
+                           rtol=1e-12, atol=0.0)

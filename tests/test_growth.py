@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 import rtspec as rt
@@ -319,21 +320,28 @@ def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
 
 def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch,
                                      clear_forms):
-    assembled = {"h2": [], "wmass": 0}
-    assemble_h2, assemble_wmass = (discretization.assemble_h2_form,
-                                   discretization.assemble_weighted_mass)
+    # quadrature runs only for the parts that do not depend on k: three
+    # for the mesh (constant coefficient) and three for the profile
+    quadratures = []
+    interior_form = discretization._interior_form
 
-    def counted_h2(mesh, k):
-        assembled["h2"].append(k)
-        return assemble_h2(mesh, k)
+    def counted_quadrature(mesh, order, c):
+        quadratures.append((order, np.ndim(c)))
+        return interior_form(mesh, order, c)
 
-    def counted_wmass(mesh, prof):
-        assembled["wmass"] += 1
-        return assemble_wmass(mesh, prof)
+    combined = {"h2": [], "wgrad": []}
 
-    monkeypatch.setattr(discretization, "assemble_h2_form", counted_h2)
-    monkeypatch.setattr(discretization, "assemble_weighted_mass",
-                        counted_wmass)
+    def count_combinations(name, key):
+        assemble = getattr(discretization, name)
+
+        def counted(*args):
+            combined[key].append(args[-1])
+            return assemble(*args)
+        monkeypatch.setattr(discretization, name, counted)
+
+    monkeypatch.setattr(discretization, "_interior_form", counted_quadrature)
+    count_combinations("assemble_h2_form", "h2")
+    count_combinations("assemble_weighted_gradient_form", "wgrad")
     mesh = rt.build_mesh(1.0, 16)
     x_quad = discretization.quadrature(mesh)[0]
     sampled = {"rho0": 0, "drho0": 0}
@@ -351,13 +359,18 @@ def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch,
     count_samples("drho0")
     k_values = np.geomspace(0.25, 4.0, 50)
     rt.dispersion(mesh, profile, params, k_values, 1)
-    # WMASS once, H2 once per k, and only the last k's forms are kept
-    assert assembled == {"h2": list(k_values), "wmass": 1}
+    assert sorted(quadratures) == [(0, 0), (0, 1), (0, 1), (1, 0), (1, 1),
+                                   (2, 0)]
+    # H2 and WGRAD are combined once per k, and only the last k's are kept
+    assert combined == {"h2": list(k_values), "wgrad": list(k_values)}
     # the profile is sampled at the quadrature points once, not once per k
     assert sampled == {"rho0": 1, "drho0": 1}
+    for part in (*mesh.h2_parts, *discretization.layer_forms(mesh, profile)):
+        assert not part.flags.writeable
     assert discretization.interior_forms.cache_info().currsize == 1
     discretization.interior_forms(mesh, profile, k_values[-1])
-    assert len(assembled["h2"]) == k_values.size
+    assert len(combined["h2"]) == k_values.size
+    assert len(quadratures) == 6
 
 
 @pytest.mark.parametrize("n_elements", [64, 128])
@@ -454,6 +467,54 @@ def test_rate_below_floor_is_not_an_absent_branch(profile, mu, solved):
                                             floor), 2)
         assert gammas.size == 2
         assert 0.0 < params.g * rec.k**2 * gammas[rec.n - 1] <= floor
+
+
+def test_thin_layer_branch_under_the_drop_level_at_the_cap_is_present(params):
+    # at a = 1e-4, gamma_4 at the cap (about 1e-16) lies under the drop
+    # level there, yet branch 4 is present at the bracket floor, where f
+    # is negative: its rate lies below the floor, and the branch exists
+    profile = rt.DensityProfile(rho_minus=1.0, rho_plus=2.0, a=1e-4)
+    mesh = rt.build_mesh(profile.a, 64)
+    cap = rt.char_length(profile, params.g)[1]
+    k_values = np.geomspace(0.25, 4.0, 5)
+    records = rt.dispersion(mesh, profile, params, k_values, 4)
+    assert [r.converged for r in records] == [True, False, False, False] * 5
+    assert {r.reason for r in records if not r.converged} == {RATE_BELOW_FLOOR}
+    for k in k_values:
+        lowers, upper = growth_solver._bracket_ends(mesh, profile, params, k,
+                                                    4, cap)
+        assert len(lowers) == 4 and upper.size < 4
+    assert rt.solve_lambda_n(mesh, profile, params, 1.0, 4).reason == (
+        RATE_BELOW_FLOOR)
+
+
+# (kind, rho_plus, mu, g, k, a), chosen before the law was checked on them
+WEYL_SETS = [("bump", 2.0, 1.0, 1.0, 1.0, 1.0),
+             ("quintic", 1e3, 0.1, 2.0, 0.25, 0.5),
+             ("bump", 1.1, 20.0, 0.04, 2.0, 2.0),
+             ("quintic", 10.0, 1.0, 1.0, 8.0, 1.0),
+             ("bump", 100.0, 5.0, 0.5, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("kind, rho_plus, mu, g, k, a", WEYL_SETS)
+def test_high_branches_follow_the_weyl_law(kind, rho_plus, mu, g, k, a):
+    # infinitely many modes, and how they accumulate at 0: as lambda_n -> 0
+    # the pencil tends to drho0 phi = gamma mu (d^2 - k^2)^2 phi, whose
+    # Liouville-Green phase gives lambda_n ~ C / (n - beta)^4 with
+    # C = (g k^2 / mu) (I / pi)^4, I = integral of drho0^(1/4) over the
+    # layer; so x_n = (lambda_n / C)^(-1/4) is spaced by 1 as n grows
+    profile = rt.DensityProfile(rho_minus=1.0, rho_plus=rho_plus, a=a,
+                                kind=kind)
+    params = rt.PhysicalParams(mu=mu, g=g)
+    records = rt.dispersion(rt.build_mesh(a, 128), profile, params, [k], 24)
+    assert all(r.converged for r in records)
+    integral = scipy.integrate.quad(lambda x: float(profile.drho0(x)) ** 0.25,
+                                    -a, 0.0, epsabs=0.0, epsrel=1e-12,
+                                    limit=200)[0]
+    c = g * k * k / mu * (integral / math.pi) ** 4
+    x = (np.array([r.lambda_n for r in records]) / c) ** -0.25
+    spacing = np.diff(x)[11:20]  # x_{n+1} - x_n for n = 12 ... 20
+    assert np.abs(spacing - 1.0).max() <= 0.035
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -9,7 +9,7 @@ from rtspec.discretization import (
     ENDPOINT_DOFS,
     assemble_boundary_forms,
     interior_forms,
-    weighted_mass,
+    layer_forms,
 )
 from rtspec.errors import CoercivityError
 from rtspec.spectral_core import (
@@ -65,7 +65,7 @@ def test_assemble_B_adds_endpoint_blocks_at_endpoint_dofs(profile, params,
     expected = lam * wgrad + params.mu * h2 + embedded[0] + embedded[1]
     pencil = rt.assemble_B(mesh, profile, params, k, lam)
     assert np.array_equal(pencil.K, expected)
-    assert pencil.Mw is weighted_mass(mesh, profile)
+    assert pencil.Mw is layer_forms(mesh, profile)[3]
 
 
 def test_degenerate_profile_keeps_operator_spd(degenerate_profile, params,

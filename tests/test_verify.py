@@ -311,16 +311,24 @@ def test_monotone_suite_solves_one_pencil_per_rate(profile, params, mesh64,
         assert abs(rep.residual - probe.residual) <= 1e-10 * abs(probe.residual)
 
 
+def counted_profile_forms(monkeypatch) -> list[int]:
+    """The mesh sizes at which the parts weighted by the profile (WMASS,
+    R0 and R1, three quadratures) are assembled, one entry per assembly."""
+    assembled = []
+    interior_form = discretization._interior_form
+
+    def counted(mesh, order, c):
+        if np.ndim(c) == 1:
+            assembled.append(mesh.n_elements)
+        return interior_form(mesh, order, c)
+
+    monkeypatch.setattr(discretization, "_interior_form", counted)
+    return assembled
+
+
 def test_fixed_point_residual_shares_a_cache(profile, params, mesh64,
                                              clear_forms, monkeypatch):
-    assembled = []
-    assemble = discretization.assemble_weighted_mass
-
-    def counted(mesh, prof):
-        assembled.append(mesh.n_elements)
-        return assemble(mesh, prof)
-
-    monkeypatch.setattr(discretization, "assemble_weighted_mass", counted)
+    assembled = counted_profile_forms(monkeypatch)
     for n in (1, 2):
         rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, n)
         before = len(assembled)
@@ -328,7 +336,7 @@ def test_fixed_point_residual_shares_a_cache(profile, params, mesh64,
         assert len(assembled) == before  # the solve's WMASS is reused
         clear_forms()  # the forms are assembled anew
         assert shared == rt.fixed_point_residual(mesh64, profile, params, rec)
-    assert assembled == [64, 64, 64]
+    assert assembled == [64] * 9
 
 
 def test_appendix_d_suite_passes():
@@ -343,18 +351,11 @@ def test_convergence_suite_passes(profile, params):
 
 
 def test_convergence_suite_assembles_each_mass_once(profile, params,
-                                                    monkeypatch):
+                                                    clear_forms, monkeypatch):
     # each resolution's mode is built while its mesh's forms are cached
-    assembled = []
-    assemble = discretization.assemble_weighted_mass
-
-    def counted(mesh, prof):
-        assembled.append(mesh.n_elements)
-        return assemble(mesh, prof)
-
-    monkeypatch.setattr(discretization, "assemble_weighted_mass", counted)
+    assembled = counted_profile_forms(monkeypatch)
     convergence_suite(profile, params)
-    assert assembled == [32, 64, 128]
+    assert assembled == [32] * 3 + [64] * 3 + [128] * 3
 
 
 def test_monotone_grid_rises_below_a_unit_cap(profile):
