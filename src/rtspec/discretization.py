@@ -1,13 +1,14 @@
 """C1 finite elements on (-a, 0): mesh, cubic Hermite basis, assembly.
 
 Every symmetric form the stability operator needs lives here as a plain
-array: the H2 energy form and the density-weighted gradient and mass forms
-as N x N matrices; the two boundary forms (surface and matching depth)
-and the endpoint quotient form, whose pencil eigenvalues have closed-form
-values, as 4x4 blocks on the endpoint DOFs.  H2 = S2 + 2 k^2 S1 + k^4 S0
-and WGRAD = k^2 R0 + R1 combine parts assembled once: ``Mesh.h2_parts``
-per mesh, ``layer_forms`` (the profile at the Gauss points, WMASS, R0,
-R1) per (mesh, profile); ``interior_forms`` keeps one k's (H2, WGRAD).
+array.  H2 and the density-weighted gradient form WGRAD are lower bands
+in LAPACK's symmetric band storage, ``band[d, j] = A[j + d, j]`` for
+d <= BANDWIDTH (``dense`` builds the matrix); the weighted mass WMASS,
+which every solve multiplies by, is N x N.  The boundary forms (surface
+and matching depth) and the endpoint quotient form are 4x4 blocks on the
+endpoint DOFs.  H2 = S2 + 2 k^2 S1 + k^4 S0 and WGRAD = k^2 R0 + R1
+combine parts assembled once: ``Mesh.h2_parts`` per mesh, ``layer_forms``
+(the profile at the Gauss points, WMASS, R0, R1) per (mesh, profile).
 All are read-only and shared; meshes compare by value.
 
 Degrees of freedom are interleaved (value, slope) per node, so those are
@@ -28,6 +29,9 @@ DEFAULT_QUADRATURE_POINTS = 10
 
 # Global DOFs of (value, slope) at x = -a and (value, slope) at x = 0.
 ENDPOINT_DOFS = [0, 1, -2, -1]
+
+# Half-bandwidth of the interior forms: an element couples two nodes' DOFs.
+BANDWIDTH = 3
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -74,7 +78,7 @@ class Mesh:
 
     @cached_property
     def h2_parts(self) -> tuple[np.ndarray, ...]:
-        """H2's parts (S0, S1, S2), S_m = integral d^m v d^m w; read-only."""
+        """H2's parts S_m = integral d^m v d^m w, m = 0, 1, 2, as bands."""
         return tuple(_read_only(_interior_form(self, m, 1.0)) for m in range(3))
 
     @property
@@ -159,15 +163,23 @@ def quadrature_values(mesh: Mesh, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _scatter(mesh: Mesh, local: np.ndarray) -> np.ndarray:
-    """Accumulate (n_elements, 4, 4) element blocks into the global matrix."""
-    dofs = mesh.element_dofs
-    full = np.zeros((mesh.dof_count, mesh.dof_count))
-    np.add.at(full, (dofs[:, :, None], dofs[:, None, :]), local)
-    return 0.5 * (full + full.T)
+    """Lower band of the symmetrized sum of (n_elements, 4, 4) element blocks."""
+    rows, cols = np.tril_indices(4)
+    at = (rows - cols, mesh.element_dofs[:, cols])
+    lower, upper = np.zeros((2, BANDWIDTH + 1, mesh.dof_count))
+    np.add.at(lower, at, local[:, rows, cols])
+    np.add.at(upper, at, local[:, cols, rows])
+    return 0.5 * (lower + upper)
+
+
+def dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band is ``band``."""
+    lower = sum(np.diag(row[:row.size - d], -d) for d, row in enumerate(band))
+    return lower + np.tril(lower, -1).T
 
 
 def _interior_form(mesh: Mesh, order: int, c: np.ndarray | float) -> np.ndarray:
-    """Assemble integral c(x) * d^m v * d^m w over the mesh, m = ``order``;
+    """Band of integral c(x) * d^m v * d^m w over the mesh, m = ``order``;
     ``c`` is a constant or one value per point of ``quadrature(mesh)``."""
     _, wq = mesh.reference_quadrature
     n = mesh.quadrature_shapes[order]
@@ -184,12 +196,13 @@ def layer_forms(mesh: Mesh, profile: DensityProfile) -> tuple[np.ndarray, ...]:
     drho0 v w, rho0 v w and rho0 v' w'; only the last key is kept."""
     x, w = quadrature(mesh)
     rho, drho = profile.rho0(x), profile.drho0(x)
-    parts = (_interior_form(mesh, m, c) for m, c in ((0, drho), (0, rho), (1, rho)))
+    parts = (dense(_interior_form(mesh, 0, drho)), _interior_form(mesh, 0, rho),
+             _interior_form(mesh, 1, rho))
     return tuple(_read_only(a) for a in (w, rho, drho, *parts))
 
 
 def assemble_h2_form(mesh: Mesh, k: float) -> np.ndarray:
-    """Matrix of integral(v'' w'' + 2 k^2 v' w' + k^4 v w); positive definite."""
+    """Band of integral(v'' w'' + 2 k^2 v' w' + k^4 v w); positive definite."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
     s0, s1, s2 = mesh.h2_parts
@@ -198,7 +211,7 @@ def assemble_h2_form(mesh: Mesh, k: float) -> np.ndarray:
 
 def assemble_weighted_gradient_form(mesh: Mesh, profile: DensityProfile,
                                     k: float) -> np.ndarray:
-    """Matrix of integral rho0 (k^2 v w + v' w'); positive definite."""
+    """Band of integral rho0 (k^2 v w + v' w'); positive definite."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
     r0, r1 = layer_forms(mesh, profile)[4:]
@@ -210,15 +223,6 @@ def assemble_weighted_mass(mesh: Mesh, profile: DensityProfile) -> np.ndarray:
     it: it stays because ``perfbench/tracer.py`` wraps it by name, and can
     go once the tracer names its layers by role."""
     return layer_forms(mesh, profile)[3]
-
-
-@lru_cache(maxsize=1)
-def interior_forms(mesh: Mesh, profile: DensityProfile,
-                   k: float) -> tuple[np.ndarray, np.ndarray]:
-    """(H2, WGRAD) of (mesh, profile) at wavenumber k, read-only; only the
-    last key is kept, so a sweep holds the forms of one k at a time."""
-    return (_read_only(assemble_h2_form(mesh, k)),
-            _read_only(assemble_weighted_gradient_form(mesh, profile, k)))
 
 
 def tau_decay(k: float, lam: float, rho_minus: float, mu: float) -> float:
@@ -293,5 +297,5 @@ class HermiteFunction:
         """Largest-magnitude value, with its sign, of 8 samples per element."""
         sub = np.linspace(0.0, 1.0, 9)
         pts = (self.mesh.nodes[:-1, None] + self.mesh.h * sub[None, :]).ravel()
-        vals = self(pts)
+        vals = self(np.minimum(pts, 0.0))  # nodes + h may overshoot 0
         return float(vals[np.argmax(np.abs(vals))])

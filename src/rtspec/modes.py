@@ -170,9 +170,9 @@ class NormalMode:
         inner = x >= -self.mesh.a
         if inner.any():
             xi = x[inner]
-            f = self.phi
-            out[inner] = -(lam * self.profile.rho0(xi) * f(xi, 1)
-                           + mu * (k * k * f(xi, 1) - f(xi, 3))) / k**2
+            slope = self.phi(xi, 1)
+            out[inner] = -(lam * self.profile.rho0(xi) * slope
+                           + mu * (k * k * slope - self.phi(xi, 3))) / k**2
         if (~inner).any():
             xo = x[~inner] + self.mesh.a
             a1 = self.phi.tail[0]

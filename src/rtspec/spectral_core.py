@@ -23,12 +23,14 @@ eigenvector with both quadratic forms summed as squares at the quadrature
 points, which is free of that noise, and its rate derivative.  The forms
 are those of the mesh, profile and parameters the pencil carries, found
 through the memoized functions of ``discretization``, which every pencil
-of one mesh and profile shares.
+of one mesh and profile shares.  K is assembled as its lower band; the
+dense K is built on first read, for the dense solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,7 +39,9 @@ from .discretization import (
     ENDPOINT_DOFS,
     Mesh,
     assemble_boundary_forms,
-    interior_forms,
+    assemble_h2_form,
+    assemble_weighted_gradient_form,
+    dense,
     layer_forms,
     quadrature_values,
     tau_decay,
@@ -45,16 +49,14 @@ from .discretization import (
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import CoercivityError
 
-_ENDPOINT_BLOCK = np.ix_(ENDPOINT_DOFS, ENDPOINT_DOFS)
-
 # Eigenvalues at or below this fraction of the largest one are treated as
 # the rank-deficient zero block of WMASS.
 DROP_THRESHOLD = 1e-12
 
-# Half-bandwidth of K: cubic Hermite elements couple the four value and
-# slope DOFs of two adjacent nodes, and the endpoint forms stay in that band.
-# The moment-constrained K keeps it: its update fills the last 3x3 corner.
-KMAT_BANDWIDTH = 3
+# Each endpoint's entries on and below the diagonal of an endpoint block, and
+# their places in K's band (the blocks couple no DOFs of different endpoints).
+_ENDPOINT_ENTRIES = ([0, 1, 1, 2, 3, 3], [0, 0, 1, 2, 2, 3])
+_ENDPOINT_BAND = ([0, 1, 0, 0, 1, 0], [0, 0, 1, -2, -2, -1])
 
 # A warm evaluation stops once branch n's relative eigen-residual is at
 # most _BLOCK_RTOL (gamma's error is second order in the vector error),
@@ -67,23 +69,28 @@ _GUARD_VECTORS = 2
 
 @dataclass(frozen=True)
 class PencilAssembly:
-    """Operator matrix K and stratification mass Mw at fixed (lam, k): N x N arrays.
+    """Operator K, as its lower band ``K_band``, and stratification mass Mw
+    (N x N) at fixed (lam, k); ``K`` is the dense K, built on first read.
 
     ``mesh``, ``profile`` and ``params`` are the ones the pencil was
     assembled from; ``Mw`` is their read-only WMASS from ``layer_forms``.
     ``branch_evaluation`` recomputes its Rayleigh quotient from their
     forms, not from K and Mw.  A pencil whose matrices were replaced (say
-    with ``dataclasses.replace(K=..., Mw=...)``) is therefore for
+    with ``dataclasses.replace(K_band=..., Mw=...)``) is therefore for
     ``gamma_values`` and ``gamma_spectrum`` only.
     """
 
-    K: np.ndarray
+    K_band: np.ndarray
     Mw: np.ndarray
     lam: float
     k: float
     params: PhysicalParams
     mesh: Mesh
     profile: DensityProfile
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return dense(self.K_band)
 
     @property
     def moment_row(self) -> np.ndarray:
@@ -139,37 +146,26 @@ class BranchEvaluation:
 
 def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                k: float, lam: float) -> PencilAssembly:
-    """Assemble the SPD operator K and mass Mw; Cholesky-checks K.
+    """Assemble the SPD operator K, as a band, and mass Mw; Cholesky-checks K.
 
     K is ``lam * WGRAD + mu * H2`` plus the endpoint blocks BV0 and then
-    BVA, added at ``ENDPOINT_DOFS``.  It is exactly symmetric: the interior
-    forms are symmetrized on scatter and the endpoint blocks are symmetric
-    by construction.  The banded Cholesky of K's lower band is the only
-    definiteness check of the full K: ``eigh`` factors the
-    moment-constrained K.
+    BVA, added at ``ENDPOINT_DOFS``.  The interior forms are symmetrized
+    on scatter and the endpoint blocks are symmetric by construction.  The
+    banded Cholesky of K is the only definiteness check of the full K:
+    ``eigh`` and the subspace iteration factor the moment-constrained K.
     """
-    h2, wgrad = interior_forms(mesh, profile, k)
-    bv0, bva = assemble_boundary_forms(k, lam, params, profile)
-    kmat = lam * wgrad + params.mu * h2
-    kmat[_ENDPOINT_BLOCK] += bv0
-    kmat[_ENDPOINT_BLOCK] += bva
+    kband = (lam * assemble_weighted_gradient_form(mesh, profile, k)
+             + params.mu * assemble_h2_form(mesh, k))
+    for block in assemble_boundary_forms(k, lam, params, profile):
+        kband[_ENDPOINT_BAND] += block[_ENDPOINT_ENTRIES]
     try:
-        sla.cholesky_banded(_lower_band(kmat), overwrite_ab=True, lower=True,
-                            check_finite=False)
+        sla.cholesky_banded(kband, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise CoercivityError(
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"
         ) from exc
-    return PencilAssembly(K=kmat, Mw=layer_forms(mesh, profile)[3], lam=lam,
+    return PencilAssembly(K_band=kband, Mw=layer_forms(mesh, profile)[3], lam=lam,
                           k=k, params=params, mesh=mesh, profile=profile)
-
-
-def _lower_band(matrix: np.ndarray) -> np.ndarray:
-    """Lower band storage of a matrix with half-bandwidth KMAT_BANDWIDTH."""
-    band = np.zeros((KMAT_BANDWIDTH + 1, matrix.shape[0]))
-    for d in range(KMAT_BANDWIDTH + 1):
-        band[d, :band.shape[1] - d] = np.diagonal(matrix, -d)
-    return band
 
 
 def _constrained(matrix: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -299,13 +295,13 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     residual is at most _BLOCK_RTOL, or None after _BLOCK_MAX_ITERATIONS
     or when the block loses rank.
     """
-    kmat, mw, row = pencil.K, pencil.Mw, pencil.moment_row
-    if not np.isfinite(kmat[-4:, -4:]).all():
+    mw, row = pencil.Mw, pencil.moment_row
+    if not np.isfinite(pencil.K_band[:, -4:]).all():
         return None  # g k^2 rho+ / lam overflowed: the corner would be NaN
     # Only the last 3x3 corner of the banded K changes under T^T K T.
-    band = _lower_band(kmat[:-1, :-1])
+    band = pencil.K_band[:, :-1].copy()
     corner_map = np.vstack([np.eye(3), row])
-    corner = corner_map.T @ kmat[-4:, -4:] @ corner_map
+    corner = corner_map.T @ dense(pencil.K_band[:, -4:]) @ corner_map
     for d in range(3):
         band[d, band.shape[1] - 3:band.shape[1] - d] = np.diagonal(corner, -d)
 

@@ -21,7 +21,7 @@ from .discretization import (
     assemble_h2_form,
     boundary_quotient_form,
     build_mesh,
-    interior_forms,
+    dense,
     layer_forms,
     quadrature_values,
 )
@@ -78,7 +78,7 @@ def boundary_quotient_spectrum(mesh: Mesh, k: float) -> np.ndarray:
     """
     q = np.zeros((mesh.dof_count, mesh.dof_count))
     q[np.ix_(ENDPOINT_DOFS, ENDPOINT_DOFS)] = boundary_quotient_form(k)
-    vals = sla.eigh(q, assemble_h2_form(mesh, k), eigvals_only=True)
+    vals = sla.eigh(q, dense(assemble_h2_form(mesh, k)), eigvals_only=True)
     vals = vals[np.abs(vals) > 1e-10]
     return np.sort(vals)[::-1]
 
@@ -91,7 +91,7 @@ def coercivity_ratio(mesh: Mesh, profile: DensityProfile, params: PhysicalParams
     rate and in the stratification shape.
     """
     pencil = assemble_B(mesh, profile, params, k, lam)
-    vals = sla.eigh(pencil.K / params.mu, interior_forms(mesh, profile, k)[0],
+    vals = sla.eigh(pencil.K / params.mu, dense(assemble_h2_form(mesh, k)),
                     eigvals_only=True, subset_by_index=(0, 0))
     return float(vals[0])
 

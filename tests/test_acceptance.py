@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import rtspec as rt
-from rtspec.discretization import quadrature
+from rtspec.discretization import BANDWIDTH, quadrature
 from rtspec.growth_solver import NO_UNSTABLE_BRANCH
 from rtspec.verify import (
     INEQUALITY_SLACK,
@@ -187,12 +187,14 @@ def test_c08_gamma_monotonicity(profile, params, mesh64, growth_cap):
     surface = np.zeros(mesh64.dof_count)
     surface[-2] = 1.0  # the surface value DOF
     surface_form = profile.rho_plus * np.outer(surface, surface)
+    surface_band = np.zeros((BANDWIDTH + 1, mesh64.dof_count))
+    surface_band[0, -2] = profile.rho_plus  # the band of surface_form
     solver, counted = [], []
     for lam in grid:
         pencil = rt.assemble_B(mesh64, profile, params, k, float(lam))
         moved = dataclasses.replace(
             pencil,
-            K=pencil.K - gk2 / lam * surface_form,
+            K_band=pencil.K_band - gk2 / lam * surface_band,
             Mw=pencil.Mw - surface_form)
         solver.append(rt.gamma_values(pencil, n_branches))
         counted.append(rt.gamma_values(moved, n_branches))

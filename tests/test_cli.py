@@ -573,6 +573,18 @@ def test_huge_surface_density_is_solved_quietly(tmp_path, argv):
     assert (code, err) == (0, "")
 
 
+def test_mode_on_a_deep_layer_exits_0(tmp_path):
+    # a mode's peak samples the top element up to nodes[-2] + h, which
+    # overshoots x = 0 by 1.1e-11 at this depth
+    path = tmp_path / "run.cfg"
+    path.write_text("profile.a = 243099.09876846595\nmodes.samples = 64\n")
+    out = tmp_path / "m.csv"
+    code, _, err = _run(["mode", "--k1", "1", "--k2", "0", "--out", str(out),
+                         "--config", str(path)])
+    assert (code, err) == (0, "")
+    assert out.exists()
+
+
 _BAD_VALUES = ("0", "-1", "-2.5", "inf", "-inf", "nan", "many", "1e", "",
                "1e300", "1e-300")
 _KEYS = ("profile.kind", "profile.rho_minus", "profile.rho_plus", "profile.a",

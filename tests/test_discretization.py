@@ -5,14 +5,16 @@ import pytest
 import scipy.integrate
 
 import rtspec as rt
+from rtspec import discretization
 from rtspec.discretization import (
+    BANDWIDTH,
     ENDPOINT_DOFS,
     assemble_boundary_forms,
     assemble_h2_form,
     assemble_weighted_gradient_form,
     assemble_weighted_mass,
     boundary_quotient_form,
-    interior_forms,
+    dense,
     layer_forms,
     quadrature,
     quadrature_values,
@@ -63,7 +65,7 @@ def test_build_mesh_validation():
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
 def test_h2_form_on_polynomials(k):
     mesh = rt.build_mesh(1.0, 8)
-    h2 = assemble_h2_form(mesh, k)
+    h2 = dense(assemble_h2_form(mesh, k))
     a = mesh.a
     one = constant_vector(mesh)
     assert one @ h2 @ one == pytest.approx(k**4 * a, rel=1e-13)
@@ -81,7 +83,7 @@ def test_h2_form_requires_positive_wavenumber(mesh64):
 def test_weighted_gradient_uniform_density(degenerate_profile):
     mesh = rt.build_mesh(1.0, 8)
     k = 1.3
-    wgrad = assemble_weighted_gradient_form(mesh, degenerate_profile, k)
+    wgrad = dense(assemble_weighted_gradient_form(mesh, degenerate_profile, k))
     one, lin = constant_vector(mesh), linear_vector(mesh)
     assert one @ wgrad @ one == pytest.approx(k**2, rel=1e-13)
     assert lin @ wgrad @ lin == pytest.approx(1.0 + k**2 / 3, rel=1e-13)
@@ -90,7 +92,7 @@ def test_weighted_gradient_uniform_density(degenerate_profile):
 def test_weighted_forms_against_adaptive_quadrature(profile, mesh64):
     # independent oracle: scipy adaptive quadrature on the piecewise cubic
     k = 1.0
-    wgrad = assemble_weighted_gradient_form(mesh64, profile, k)
+    wgrad = dense(assemble_weighted_gradient_form(mesh64, profile, k))
     wmass = assemble_weighted_mass(mesh64, profile)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -209,7 +211,7 @@ def test_form_values_converge_at_fourth_order(profile):
         c = np.empty(mesh.dof_count)
         c[0::2] = f(mesh.nodes)
         c[1::2] = df(mesh.nodes)
-        errors.append(abs(c @ assemble_h2_form(mesh, k) @ c - exact))
+        errors.append(abs(c @ dense(assemble_h2_form(mesh, k)) @ c - exact))
     rate1 = math.log2(errors[0] / errors[1])
     rate2 = math.log2(errors[1] / errors[2])
     assert rate1 > 3.7
@@ -236,8 +238,9 @@ def test_hermite_function_evaluation(mesh64):
 
 def test_interior_forms_positive_definite(profile, mesh64):
     for k in (0.5, 1.0, 2.0):
-        np.linalg.cholesky(assemble_h2_form(mesh64, k))
-        np.linalg.cholesky(assemble_weighted_gradient_form(mesh64, profile, k))
+        np.linalg.cholesky(dense(assemble_h2_form(mesh64, k)))
+        np.linalg.cholesky(dense(assemble_weighted_gradient_form(mesh64,
+                                                                 profile, k)))
 
 
 def test_quadrature_weights_integrate_exactly(mesh64):
@@ -265,12 +268,12 @@ def test_quadrature_values_match_hermite_evaluation(n_elements):
                 1e-13 * np.abs(expected).max())
 
 
-FORM_MEMOS = (layer_forms, interior_forms)
+FORM_MEMOS = (layer_forms,)
 
 
-def _forms(mesh, profile, k=1.0):
+def _forms(mesh, profile):
     """The memos' values at one key, in ``FORM_MEMOS`` order."""
-    return layer_forms(mesh, profile), interior_forms(mesh, profile, k)
+    return (layer_forms(mesh, profile),)
 
 
 def test_form_cache_is_one_per_mesh_and_profile(profile):
@@ -287,17 +290,17 @@ def test_form_cache_keeps_only_the_last_mesh_and_profile(profile,
                                                          quintic_profile):
     mesh = rt.build_mesh(1.0, 8)
     first = _forms(mesh, profile)
-    _forms(mesh, quintic_profile, k=2.0)
-    assert [memo.cache_info().currsize for memo in FORM_MEMOS] == [1, 1]
+    _forms(mesh, quintic_profile)
+    assert [memo.cache_info().currsize for memo in FORM_MEMOS] == [1]
     for old, new in zip(first, _forms(mesh, profile)):
         assert old is not new
 
 
 def test_form_cache_arrays_are_read_only(profile):
     mesh = rt.build_mesh(1.0, 8)
-    layer, interior = _forms(mesh, profile)
+    layer, = _forms(mesh, profile)
     assert assemble_weighted_mass(mesh, profile) is layer[3]
-    for array in (*layer, *interior, *mesh.h2_parts):
+    for array in (*layer, *mesh.h2_parts):
         with pytest.raises(ValueError):
             array[0] = 1.0
 
@@ -315,5 +318,39 @@ def test_forms_combine_their_k_free_parts(profile, k):
     for form, expected in ((assemble_h2_form(mesh, k), expected_h2),
                            (assemble_weighted_gradient_form(mesh, profile, k),
                             expected_wgrad)):
-        assert np.allclose(np.einsum("ij,ik,kj->j", c, form, c), expected,
-                           rtol=1e-12, atol=0.0)
+        assert np.allclose(np.einsum("ij,ik,kj->j", c, dense(form), c),
+                           expected, rtol=1e-12, atol=0.0)
+
+
+def _dense_scatter(mesh, local):
+    """The N x N symmetrized sum of element blocks, the reference for the
+    banded ``_scatter``."""
+    dofs = mesh.element_dofs
+    full = np.zeros((mesh.dof_count, mesh.dof_count))
+    np.add.at(full, (dofs[:, :, None], dofs[:, None, :]), local)
+    return 0.5 * (full + full.T)
+
+
+@pytest.mark.parametrize("n_elements", [2, 3, 16])
+def test_band_scatter_holds_the_dense_sum_bit_for_bit(n_elements):
+    # an unsymmetric local block: both triangles' sums enter the band
+    mesh = rt.build_mesh(0.7, n_elements)
+    local = np.random.default_rng(n_elements).standard_normal(
+        (n_elements, 4, 4))
+    band = discretization._scatter(mesh, local)
+    assert band.shape == (BANDWIDTH + 1, mesh.dof_count)
+    assert np.array_equal(dense(band), _dense_scatter(mesh, local))
+    # the band positions past the matrix's last row stay empty
+    for d in range(1, BANDWIDTH + 1):
+        assert not band[d, mesh.dof_count - d:].any()
+
+
+def test_peak_of_a_deep_layer_stays_on_the_layer():
+    # nodes[:-1] + h overshoots x = 0 by 1.1e-11 on this mesh, past the
+    # evaluation's 1e-12 slack
+    mesh = rt.build_mesh(243099.09876846595, 64)
+    assert mesh.nodes[-2] + mesh.h > 1e-12
+    coeffs = constant_vector(mesh)
+    coeffs[-2] = -3.0
+    assert rt.HermiteFunction(mesh, coeffs).peak() == pytest.approx(-3.0,
+                                                                    rel=1e-14)

@@ -1,8 +1,8 @@
 """Forms are found, not passed.
 
 No rtspec function takes a ``cache`` parameter: the interior forms are
-memoized functions of the mesh, the profile and k in ``discretization``,
-which every caller asks for itself.  Read from the source with ``ast``.
+combinations of parts memoized per mesh and per (mesh, profile) in
+``discretization``, which every caller asks for itself.  Read from the source with ``ast``.
 """
 
 import ast

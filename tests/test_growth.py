@@ -318,8 +318,8 @@ def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
         assert rec.stats.block_evaluations == rec.iterations
 
 
-def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch,
-                                     clear_forms):
+def test_sweep_assembles_only_the_k_free_parts(profile, params, monkeypatch,
+                                              clear_forms):
     # quadrature runs only for the parts that do not depend on k: three
     # for the mesh (constant coefficient) and three for the profile
     quadratures = []
@@ -329,15 +329,15 @@ def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch,
         quadratures.append((order, np.ndim(c)))
         return interior_form(mesh, order, c)
 
-    combined = {"h2": [], "wgrad": []}
+    combined = {"h2": set(), "wgrad": set()}
 
     def count_combinations(name, key):
-        assemble = getattr(discretization, name)
+        assemble = getattr(spectral_core, name)
 
         def counted(*args):
-            combined[key].append(args[-1])
+            combined[key].add(args[-1])
             return assemble(*args)
-        monkeypatch.setattr(discretization, name, counted)
+        monkeypatch.setattr(spectral_core, name, counted)
 
     monkeypatch.setattr(discretization, "_interior_form", counted_quadrature)
     count_combinations("assemble_h2_form", "h2")
@@ -361,16 +361,15 @@ def test_sweep_keeps_forms_for_one_k(profile, params, monkeypatch,
     rt.dispersion(mesh, profile, params, k_values, 1)
     assert sorted(quadratures) == [(0, 0), (0, 1), (0, 1), (1, 0), (1, 1),
                                    (2, 0)]
-    # H2 and WGRAD are combined once per k, and only the last k's are kept
-    assert combined == {"h2": list(k_values), "wgrad": list(k_values)}
+    # every pencil combines the parts' bands at its own k
+    assert combined == {"h2": set(k_values), "wgrad": set(k_values)}
     # the profile is sampled at the quadrature points once, not once per k
     assert sampled == {"rho0": 1, "drho0": 1}
-    for part in (*mesh.h2_parts, *discretization.layer_forms(mesh, profile)):
+    w, rho, drho, wmass, *r_parts = discretization.layer_forms(mesh, profile)
+    for part in (*mesh.h2_parts, *r_parts):
+        assert part.shape == (discretization.BANDWIDTH + 1, mesh.dof_count)
+    for part in (*mesh.h2_parts, w, rho, drho, wmass, *r_parts):
         assert not part.flags.writeable
-    assert discretization.interior_forms.cache_info().currsize == 1
-    discretization.interior_forms(mesh, profile, k_values[-1])
-    assert len(combined["h2"]) == k_values.size
-    assert len(quadratures) == 6
 
 
 @pytest.mark.parametrize("n_elements", [64, 128])

@@ -204,6 +204,20 @@ def test_pressure_outer_form(profile, params, mesh64, mode64):
     assert np.abs(tweaked.pressure(x)).max() == 0.0
 
 
+def test_pressure_evaluates_each_derivative_once(mode64, monkeypatch):
+    # the layer pressure reads the first and third derivatives once each
+    derivs = []
+    call = rt.HalfLineFunction.__call__
+
+    def counted(self, x, deriv=0):
+        derivs.append(deriv)
+        return call(self, x, deriv)
+
+    monkeypatch.setattr(rt.HalfLineFunction, "__call__", counted)
+    mode64.pressure(np.linspace(-1.0, 0.0, 9))
+    assert sorted(derivs) == [1, 3]
+
+
 def test_pressure_interface_jump_shrinks(profile, params):
     jumps = {}
     for n in (64, 128):

@@ -6,9 +6,12 @@ import pytest
 import rtspec as rt
 from rtspec import spectral_core
 from rtspec.discretization import (
+    BANDWIDTH,
     ENDPOINT_DOFS,
     assemble_boundary_forms,
-    interior_forms,
+    assemble_h2_form,
+    assemble_weighted_gradient_form,
+    dense,
     layer_forms,
 )
 from rtspec.errors import CoercivityError
@@ -56,7 +59,8 @@ def test_assemble_B_adds_endpoint_blocks_at_endpoint_dofs(profile, params,
     # endpoint block standing for the N x N matrix it is embedded in
     k, lam = 1.3, 0.2
     mesh = rt.build_mesh(profile.a, n_elements)
-    h2, wgrad = interior_forms(mesh, profile, k)
+    h2 = dense(assemble_h2_form(mesh, k))
+    wgrad = dense(assemble_weighted_gradient_form(mesh, profile, k))
     embedded = []
     for form in assemble_boundary_forms(k, lam, params, profile):
         full = np.zeros_like(h2)
@@ -64,6 +68,7 @@ def test_assemble_B_adds_endpoint_blocks_at_endpoint_dofs(profile, params,
         embedded.append(full)
     expected = lam * wgrad + params.mu * h2 + embedded[0] + embedded[1]
     pencil = rt.assemble_B(mesh, profile, params, k, lam)
+    assert pencil.K_band.shape == (BANDWIDTH + 1, mesh.dof_count)
     assert np.array_equal(pencil.K, expected)
     assert pencil.Mw is layer_forms(mesh, profile)[3]
 
@@ -80,7 +85,7 @@ def test_rate_dependence_is_gradient_form_plus_boundary(profile, params,
     lam1, lam2, k = 0.2, 0.7, 1.0
     k1 = rt.assemble_B(mesh64, profile, params, k, lam1).K
     k2 = rt.assemble_B(mesh64, profile, params, k, lam2).K
-    wgrad = interior_forms(mesh64, profile, k)[1]
+    wgrad = dense(assemble_weighted_gradient_form(mesh64, profile, k))
     interior = np.ones(mesh64.dof_count, bool)
     interior[[0, 1, -2, -1]] = False
     diff = (k2 - k1)[np.ix_(interior, interior)]
@@ -91,11 +96,9 @@ def test_rate_dependence_is_gradient_form_plus_boundary(profile, params,
 
 
 def test_operator_coercivity_on_random_vectors(profile, params, mesh64):
-    from rtspec.discretization import assemble_h2_form
-
     k, lam = 1.0, 0.3
     pencil = rt.assemble_B(mesh64, profile, params, k, lam)
-    h2 = assemble_h2_form(mesh64, k)
+    h2 = dense(assemble_h2_form(mesh64, k))
     bound = rt.coercivity_bound(k * mesh64.a)
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -237,21 +240,21 @@ def test_drop_threshold_is_tiny():
     assert DROP_THRESHOLD <= 1e-12
 
 
-def indefinite_h2_forms(variant):
-    """``interior_forms`` with H2 replaced by a symmetric indefinite matrix."""
+def indefinite_h2_form(variant):
+    """``assemble_h2_form`` with H2 replaced by the band of a symmetric
+    indefinite matrix."""
 
-    def forms(mesh, profile, k):
-        h2, wgrad = interior_forms(mesh, profile, k)
+    def form(mesh, k):
+        h2 = assemble_h2_form(mesh, k)
         bad = -h2
         if variant == "outer-band":
             # positive diagonal, but a 2x2 principal minor on the outermost
             # band diagonal is negative
             bad = h2.copy()
-            i = bad.shape[0] // 2
-            bad[i, i + 3] = bad[i + 3, i] = 10.0 * np.abs(bad).max()
-        return bad, wgrad
+            bad[BANDWIDTH, bad.shape[1] // 2] = 10.0 * np.abs(bad).max()
+        return bad
 
-    return forms
+    return form
 
 
 @pytest.mark.parametrize("n_elements", [64, 128])
@@ -259,7 +262,20 @@ def indefinite_h2_forms(variant):
 def test_assemble_B_rejects_indefinite_operator(profile, params, n_elements,
                                                 variant, monkeypatch):
     mesh = rt.build_mesh(profile.a, n_elements)
-    monkeypatch.setattr(spectral_core, "interior_forms",
-                        indefinite_h2_forms(variant))
+    monkeypatch.setattr(spectral_core, "assemble_h2_form",
+                        indefinite_h2_form(variant))
     with pytest.raises(CoercivityError):
         rt.assemble_B(mesh, profile, params, 1.0, 0.5)
+
+
+def test_dense_K_is_built_only_for_dense_solves(profile, params, mesh64):
+    k, lam = 1.0, 0.3
+    start = branch_evaluation(rt.assemble_B(mesh64, profile, params, k, lam), 2)
+    pencil = rt.assemble_B(mesh64, profile, params, k, 1.01 * lam)
+    assert "K" not in vars(pencil)
+    warm = branch_evaluation(pencil, 2, start.block)
+    assert not warm.dense
+    assert "K" not in vars(pencil)
+    cold = branch_evaluation(pencil, 2)
+    assert cold.dense
+    assert np.array_equal(vars(pencil)["K"], dense(pencil.K_band))
