@@ -1,15 +1,15 @@
 """C1 finite elements on (-a, 0): mesh, cubic Hermite basis, assembly.
 
 Every symmetric form the stability operator needs lives here as a plain
-array.  H2 and the density-weighted gradient form WGRAD are lower bands
-in LAPACK's symmetric band storage, ``band[d, j] = A[j + d, j]`` for
-d <= BANDWIDTH (``dense`` builds the matrix); the weighted mass WMASS,
-which every solve multiplies by, is N x N.  The boundary forms (surface
-and matching depth) and the endpoint quotient form are 4x4 blocks on the
-endpoint DOFs.  H2 = S2 + 2 k^2 S1 + k^4 S0 and WGRAD = k^2 R0 + R1
-combine parts assembled once: ``Mesh.h2_parts`` per mesh, ``layer_forms``
-(the profile at the Gauss points, WMASS, R0, R1) per (mesh, profile).
-All are read-only and shared; meshes compare by value.
+array.  The interior forms (H2, the density-weighted gradient form WGRAD
+and the weighted mass WMASS) are lower bands in LAPACK's symmetric band
+storage, ``band[d, j] = A[j + d, j]`` for d <= BANDWIDTH (``dense``
+builds the matrix).  The boundary forms (surface and matching depth) and
+the endpoint quotient form are 4x4 blocks on the endpoint DOFs.
+H2 = S2 + 2 k^2 S1 + k^4 S0 and WGRAD = k^2 R0 + R1 combine parts
+assembled once: ``h2_parts`` per mesh, ``layer_forms`` (the profile at
+the Gauss points, WMASS, R0, R1) per (mesh, profile).  All are read-only
+and shared; meshes compare by value.
 
 Degrees of freedom are interleaved (value, slope) per node, so those are
 ``ENDPOINT_DOFS``: value and slope at x = -a, then at x = 0.
@@ -75,11 +75,6 @@ class Mesh:
         e = np.arange(self.n_elements)
         return _read_only(np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3],
                                     axis=1))
-
-    @cached_property
-    def h2_parts(self) -> tuple[np.ndarray, ...]:
-        """H2's parts S_m = integral d^m v d^m w, m = 0, 1, 2, as bands."""
-        return tuple(_read_only(_interior_form(self, m, 1.0)) for m in range(3))
 
     @property
     def h(self) -> float:
@@ -174,8 +169,11 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> np.ndarray:
 
 def dense(band: np.ndarray) -> np.ndarray:
     """The symmetric matrix whose lower band is ``band``."""
-    lower = sum(np.diag(row[:row.size - d], -d) for d, row in enumerate(band))
-    return lower + np.tril(lower, -1).T
+    matrix = np.zeros((band.shape[1],) * 2)
+    for d, row in enumerate(band):
+        j = np.arange(row.size - d)
+        matrix[j + d, j] = matrix[j, j + d] = row[:row.size - d]
+    return matrix
 
 
 def _interior_form(mesh: Mesh, order: int, c: np.ndarray | float) -> np.ndarray:
@@ -189,14 +187,20 @@ def _interior_form(mesh: Mesh, order: int, c: np.ndarray | float) -> np.ndarray:
 
 # -- assembled forms ---------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def h2_parts(mesh: Mesh) -> tuple[np.ndarray, ...]:
+    """Read-only bands of H2's parts S_m = integral d^m v d^m w, m = 0..2."""
+    return tuple(_read_only(_interior_form(mesh, m, 1.0)) for m in range(3))
+
+
 @lru_cache(maxsize=1)
 def layer_forms(mesh: Mesh, profile: DensityProfile) -> tuple[np.ndarray, ...]:
     """(weights, rho0, drho0, WMASS, R0, R1), read-only: the one sampling of
-    the profile at the points of ``quadrature(mesh)``, and the integrals of
+    the profile at the points of ``quadrature(mesh)``, and the bands of
     drho0 v w, rho0 v w and rho0 v' w'; only the last key is kept."""
     x, w = quadrature(mesh)
     rho, drho = profile.rho0(x), profile.drho0(x)
-    parts = (dense(_interior_form(mesh, 0, drho)), _interior_form(mesh, 0, rho),
+    parts = (_interior_form(mesh, 0, drho), _interior_form(mesh, 0, rho),
              _interior_form(mesh, 1, rho))
     return tuple(_read_only(a) for a in (w, rho, drho, *parts))
 
@@ -205,7 +209,7 @@ def assemble_h2_form(mesh: Mesh, k: float) -> np.ndarray:
     """Band of integral(v'' w'' + 2 k^2 v' w' + k^4 v w); positive definite."""
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
-    s0, s1, s2 = mesh.h2_parts
+    s0, s1, s2 = h2_parts(mesh)
     return s2 + 2.0 * k**2 * s1 + k**4 * s0
 
 
@@ -219,9 +223,9 @@ def assemble_weighted_gradient_form(mesh: Mesh, profile: DensityProfile,
 
 
 def assemble_weighted_mass(mesh: Mesh, profile: DensityProfile) -> np.ndarray:
-    """WMASS of ``layer_forms``, read-only.  Nothing in the package calls
-    it: it stays because ``perfbench/tracer.py`` wraps it by name, and can
-    go once the tracer names its layers by role."""
+    """Band of WMASS from ``layer_forms``, read-only.  Nothing in the
+    package calls it: it stays because ``perfbench/tracer.py`` wraps it by
+    name, and can go once the tracer names its layers by role."""
     return layer_forms(mesh, profile)[3]
 
 

@@ -76,6 +76,8 @@ class HalfLineFunction:
 
     def __call__(self, x, deriv: int = 0):
         """Value (or x-derivative up to order 3) at points x <= 0."""
+        if deriv not in (0, 1, 2, 3):
+            raise ValueError("deriv must be 0..3")
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)

@@ -11,9 +11,8 @@ deficient wherever drho0 vanishes.
 The eigensolves run in the trial space of C1 functions that satisfy the
 surface moment condition phi''(0) + k^2 phi(0) = 0 exactly: the surface
 slope DOF is eliminated by ``PencilAssembly.moment_row``, so the reduced
-pencil is the leading block of (WMASS, K) plus an update of its last
-three rows and columns (a 3x3 corner for the banded element matrices).
-Returned eigenvectors are lifted back to the full DOF vector.
+pencil is the leading block of (WMASS, K) with its last 3x3 corner
+updated.  Returned eigenvectors are lifted back to the full DOF vector.
 
 Every dense eigensolve of the pencil runs through ``_dense_pairs``.
 ``gamma_values`` and ``gamma_spectrum`` return the eigenvalues of the
@@ -23,14 +22,13 @@ eigenvector with both quadratic forms summed as squares at the quadrature
 points, which is free of that noise, and its rate derivative.  The forms
 are those of the mesh, profile and parameters the pencil carries, found
 through the memoized functions of ``discretization``, which every pencil
-of one mesh and profile shares.  K is assembled as its lower band; the
-dense K is built on first read, for the dense solves.
+of one mesh and profile shares.  Both forms, full and reduced, are
+lower bands; only the dense eigensolve builds N x N matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -58,6 +56,11 @@ DROP_THRESHOLD = 1e-12
 _ENDPOINT_ENTRIES = ([0, 1, 1, 2, 3, 3], [0, 0, 1, 2, 2, 3])
 _ENDPOINT_BAND = ([0, 1, 0, 0, 1, 0], [0, 0, 1, -2, -2, -1])
 
+# The lower triangle of the moment constraint's 3x3 corner: (row, column)
+# in the corner, and its places in the band of the constrained matrix.
+_CORNER = ([0, 1, 1, 2, 2, 2], [0, 0, 1, 0, 1, 2])
+_CORNER_BAND = ([0, 1, 0, 2, 1, 0], [-3, -3, -2, -3, -2, -1])
+
 # A warm evaluation stops once branch n's relative eigen-residual is at
 # most _BLOCK_RTOL (gamma's error is second order in the vector error),
 # and falls back to a dense solve after _BLOCK_MAX_ITERATIONS iterations.
@@ -69,28 +72,23 @@ _GUARD_VECTORS = 2
 
 @dataclass(frozen=True)
 class PencilAssembly:
-    """Operator K, as its lower band ``K_band``, and stratification mass Mw
-    (N x N) at fixed (lam, k); ``K`` is the dense K, built on first read.
+    """Operator K and stratification mass Mw at fixed (lam, k), as lower
+    bands: ``Mw_band`` is the read-only WMASS of ``layer_forms``.
 
     ``mesh``, ``profile`` and ``params`` are the ones the pencil was
-    assembled from; ``Mw`` is their read-only WMASS from ``layer_forms``.
-    ``branch_evaluation`` recomputes its Rayleigh quotient from their
-    forms, not from K and Mw.  A pencil whose matrices were replaced (say
-    with ``dataclasses.replace(K_band=..., Mw=...)``) is therefore for
-    ``gamma_values`` and ``gamma_spectrum`` only.
+    assembled from.  ``branch_evaluation`` recomputes its Rayleigh quotient
+    from their forms, not from K and Mw.  A pencil whose bands were
+    replaced (say with ``dataclasses.replace(K_band=..., Mw_band=...)``)
+    is therefore for ``gamma_values`` and ``gamma_spectrum`` only.
     """
 
     K_band: np.ndarray
-    Mw: np.ndarray
+    Mw_band: np.ndarray
     lam: float
     k: float
     params: PhysicalParams
     mesh: Mesh
     profile: DensityProfile
-
-    @cached_property
-    def K(self) -> np.ndarray:
-        return dense(self.K_band)
 
     @property
     def moment_row(self) -> np.ndarray:
@@ -164,24 +162,31 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         raise CoercivityError(
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"
         ) from exc
-    return PencilAssembly(K_band=kband, Mw=layer_forms(mesh, profile)[3], lam=lam,
-                          k=k, params=params, mesh=mesh, profile=profile)
+    return PencilAssembly(K_band=kband, Mw_band=layer_forms(mesh, profile)[3],
+                          lam=lam, k=k, params=params, mesh=mesh, profile=profile)
 
 
-def _constrained(matrix: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """T^T A T for the trial map T that fills the last DOF with row . x[-4:-1]."""
-    reduced = np.array(matrix[:-1, :-1], order="F")
-    reduced[:, -3:] += np.outer(matrix[:-1, -1], row)
-    reduced[-3:, :] += np.outer(row, matrix[-1, :-1])
-    reduced[-3:, -3:] += matrix[-1, -1] * np.outer(row, row)
+def _constrained(band: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Lower band of T^T A T (A symmetric, ``band`` its lower band) for the
+    trial map T that fills the last DOF with row . x[-4:-1]: A's leading
+    block, its last 3x3 corner's lower triangle updated by col row^T, then
+    row col^T, then a_nn row row^T (col is A's last column above a_nn)."""
+    i, j = _CORNER
+    col, a_nn = band[[3, 2, 1], [-4, -3, -2]], band[0, -1]
+    reduced = band[:, :-1].copy()
+    reduced[_CORNER_BAND] = (reduced[_CORNER_BAND] + col[i] * row[j]
+                             + row[i] * col[j] + a_nn * (row[i] * row[j]))
     return reduced
 
 
-def _restricted(full: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """T^T y for full DOF vectors y, as a view of y updated in place."""
-    reduced = full[:-1]
-    reduced[-3:] += np.outer(row, full[-1])
-    return reduced
+def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the symmetric A of lower band ``band``, x 1-D or 2-D."""
+    diagonals = band.reshape(band.shape + (1,) * (x.ndim - 1))
+    y = diagonals[0] * x
+    for d in range(1, band.shape[0]):
+        y[d:] += diagonals[d, :-d] * x[:-d]
+        y[:-d] += diagonals[d, :-d] * x[d:]
+    return y
 
 
 def _dense_pairs(pencil: PencilAssembly, count: int | None = None):
@@ -193,8 +198,8 @@ def _dense_pairs(pencil: PencilAssembly, count: int | None = None):
     the constrained K and raises CoercivityError if that fails.
     """
     row = pencil.moment_row
-    mw = _constrained(pencil.Mw, row)
-    kmat = _constrained(pencil.K, row)
+    mw = dense(_constrained(pencil.Mw_band, row))
+    kmat = dense(_constrained(pencil.K_band, row))
     dof = kmat.shape[0]
     subset = None if count is None else (max(0, dof - count), dof - 1)
     try:
@@ -223,15 +228,14 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
         raise ValueError("n_max must be at least 1")
     vals, vecs = _dense_pairs(pencil)
     count, row = min(n_max, _positive_count(vals)), pencil.moment_row
-    gammas = vals[:count].copy()
-    vectors = _lift(vecs[:, :count], row)
-    mx = _restricted(pencil.Mw @ vectors, row)
-    kx = _restricted(pencil.K @ vectors, row)
+    gammas, x = vals[:count].copy(), vecs[:, :count]
+    mx = _band_apply(_constrained(pencil.Mw_band, row), x)
+    kx = _band_apply(_constrained(pencil.K_band, row), x)
     scale = np.maximum(np.linalg.norm(mx, axis=0),
                        gammas * np.linalg.norm(kx, axis=0))
     max_residual = float((np.linalg.norm(mx - kx * gammas, axis=0)
                           / scale).max(initial=0.0))
-    return SpectrumResult(gammas=gammas, vectors=vectors,
+    return SpectrumResult(gammas=gammas, vectors=_lift(x, row),
                           complete=count == n_max, max_residual=max_residual)
 
 
@@ -289,32 +293,22 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     The block's first n + _GUARD_VECTORS columns start it.  Each iteration
     solves K Y = Mw X with the banded Cholesky factor of the constrained K,
     then takes the Rayleigh-Ritz pairs on span(Y) (largest first); K Y =
-    Mw X gives Y^T K Y and K x without a product with K.  The constrained
-    forms T^T A T are applied through T, so no reduced matrix is copied.
-    Returns (ritz values, vectors, iterations) once branch n's relative
-    residual is at most _BLOCK_RTOL, or None after _BLOCK_MAX_ITERATIONS
-    or when the block loses rank.
+    Mw X gives Y^T K Y and K x without a product with K, and Mw is
+    applied as the constrained band.  Returns (ritz values, vectors,
+    iterations) once branch n's relative residual is at most _BLOCK_RTOL,
+    or None after _BLOCK_MAX_ITERATIONS or when the block loses rank.
     """
-    mw, row = pencil.Mw, pencil.moment_row
     if not np.isfinite(pencil.K_band[:, -4:]).all():
-        return None  # g k^2 rho+ / lam overflowed: the corner would be NaN
-    # Only the last 3x3 corner of the banded K changes under T^T K T.
-    band = pencil.K_band[:, :-1].copy()
-    corner_map = np.vstack([np.eye(3), row])
-    corner = corner_map.T @ dense(pencil.K_band[:, -4:]) @ corner_map
-    for d in range(3):
-        band[d, band.shape[1] - 3:band.shape[1] - d] = np.diagonal(corner, -d)
-
-    def apply_mw(x):
-        return _restricted(mw @ _lift(x, row), row)
-
+        return None  # g k^2 rho+ / lam overflowed to inf in the corner
+    row = pencil.moment_row
+    mw, kband = (_constrained(b, row) for b in (pencil.Mw_band, pencil.K_band))
     try:
-        factor = sla.cholesky_banded(band, overwrite_ab=True, lower=True,
+        factor = sla.cholesky_banded(kband, overwrite_ab=True, lower=True,
                                      check_finite=False)
-        mx = apply_mw(block[:, :n + _GUARD_VECTORS])
+        mx = _band_apply(mw, block[:, :n + _GUARD_VECTORS])
         for iteration in range(1, _BLOCK_MAX_ITERATIONS + 1):
             y = sla.cho_solve_banded((factor, True), mx, check_finite=False)
-            my = apply_mw(y)
+            my = _band_apply(mw, y)
             theta, z = sla.eigh(y.T @ my, y.T @ mx, check_finite=False)
             theta, z = theta[::-1], z[:, ::-1]
             kx = theta[n - 1] * (mx @ z[:, n - 1])

@@ -90,8 +90,8 @@ def coercivity_ratio(mesh: Mesh, profile: DensityProfile, params: PhysicalParams
     Bounded below by 2(sinh(ka) - ka)/(3 sinh(ka) - ka) uniformly in the
     rate and in the stratification shape.
     """
-    pencil = assemble_B(mesh, profile, params, k, lam)
-    vals = sla.eigh(pencil.K / params.mu, dense(assemble_h2_form(mesh, k)),
+    kmat = dense(assemble_B(mesh, profile, params, k, lam).K_band)
+    vals = sla.eigh(kmat / params.mu, dense(assemble_h2_form(mesh, k)),
                     eigvals_only=True, subset_by_index=(0, 0))
     return float(vals[0])
 

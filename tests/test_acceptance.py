@@ -184,18 +184,15 @@ def test_c08_gamma_monotonicity(profile, params, mesh64, growth_cap):
     k, n_branches = 1.0, 4
     gk2 = params.g * k * k
     grid = np.geomspace(1e-3, growth_cap, 20)
-    surface = np.zeros(mesh64.dof_count)
-    surface[-2] = 1.0  # the surface value DOF
-    surface_form = profile.rho_plus * np.outer(surface, surface)
     surface_band = np.zeros((BANDWIDTH + 1, mesh64.dof_count))
-    surface_band[0, -2] = profile.rho_plus  # the band of surface_form
+    surface_band[0, -2] = profile.rho_plus  # rho+ e e^T, e the surface DOF
     solver, counted = [], []
     for lam in grid:
         pencil = rt.assemble_B(mesh64, profile, params, k, float(lam))
         moved = dataclasses.replace(
             pencil,
             K_band=pencil.K_band - gk2 / lam * surface_band,
-            Mw=pencil.Mw - surface_form)
+            Mw_band=pencil.Mw_band - surface_band)
         solver.append(rt.gamma_values(pencil, n_branches))
         counted.append(rt.gamma_values(moved, n_branches))
         assert solver[-1].size == counted[-1].size == n_branches, (

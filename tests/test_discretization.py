@@ -15,6 +15,7 @@ from rtspec.discretization import (
     assemble_weighted_mass,
     boundary_quotient_form,
     dense,
+    h2_parts,
     layer_forms,
     quadrature,
     quadrature_values,
@@ -93,7 +94,7 @@ def test_weighted_forms_against_adaptive_quadrature(profile, mesh64):
     # independent oracle: scipy adaptive quadrature on the piecewise cubic
     k = 1.0
     wgrad = dense(assemble_weighted_gradient_form(mesh64, profile, k))
-    wmass = assemble_weighted_mass(mesh64, profile)
+    wmass = dense(assemble_weighted_mass(mesh64, profile))
     rng = np.random.default_rng(3)
     for _ in range(5):
         c = rng.standard_normal(mesh64.dof_count)
@@ -120,7 +121,7 @@ def test_weighted_forms_against_adaptive_quadrature(profile, mesh64):
 def test_weighted_mass_basics(profile, degenerate_profile, mesh64):
     zero = assemble_weighted_mass(rt.build_mesh(1.0, 16), degenerate_profile)
     assert np.abs(zero).max() == 0.0
-    wm = assemble_weighted_mass(mesh64, profile)
+    wm = dense(assemble_weighted_mass(mesh64, profile))
     one = constant_vector(mesh64)
     assert one @ wm @ one == pytest.approx(1.0, rel=1e-12)
     eigs = np.linalg.eigvalsh(wm)
@@ -300,7 +301,7 @@ def test_form_cache_arrays_are_read_only(profile):
     mesh = rt.build_mesh(1.0, 8)
     layer, = _forms(mesh, profile)
     assert assemble_weighted_mass(mesh, profile) is layer[3]
-    for array in (*layer, *mesh.h2_parts):
+    for array in (*layer, *h2_parts(mesh)):
         with pytest.raises(ValueError):
             array[0] = 1.0
 

@@ -366,9 +366,10 @@ def test_sweep_assembles_only_the_k_free_parts(profile, params, monkeypatch,
     # the profile is sampled at the quadrature points once, not once per k
     assert sampled == {"rho0": 1, "drho0": 1}
     w, rho, drho, wmass, *r_parts = discretization.layer_forms(mesh, profile)
-    for part in (*mesh.h2_parts, *r_parts):
+    h2_parts = discretization.h2_parts(mesh)
+    for part in (*h2_parts, wmass, *r_parts):
         assert part.shape == (discretization.BANDWIDTH + 1, mesh.dof_count)
-    for part in (*mesh.h2_parts, w, rho, drho, wmass, *r_parts):
+    for part in (*h2_parts, w, rho, drho, wmass, *r_parts):
         assert not part.flags.writeable
 
 

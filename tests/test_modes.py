@@ -41,6 +41,19 @@ def test_outer_coefficients_pure_branches():
                             tau=k)
 
 
+@pytest.mark.parametrize("x", [-3.0, -0.5, [-3.0, -0.5]])
+def test_half_line_function_rejects_bad_derivative_orders(x):
+    # below the layer too, where only the tail is evaluated
+    mesh = rt.build_mesh(1.0, 4)
+    coeffs = np.zeros(mesh.dof_count)
+    coeffs[:2] = 1.0, 3.0
+    f = rt.HalfLineFunction(mesh=mesh, coeffs=coeffs, k=1.0, tau=2.0)
+    for deriv in (-1, 4, 1.5):
+        with pytest.raises(ValueError, match="deriv must be 0..3"):
+            f(x, deriv)
+    assert np.all(np.isfinite(f(x, 3)))
+
+
 def test_mode_basic_closures(mode64):
     mode = mode64
     coeffs = mode.phi.coeffs

@@ -48,8 +48,9 @@ class ReshapedGradientProfile:
 
 def test_assemble_B_structure(profile, params, mesh64):
     pencil = rt.assemble_B(mesh64, profile, params, 1.0, 0.1)
-    assert np.abs(pencil.K - pencil.K.T).max() == 0.0
-    np.linalg.cholesky(pencil.K)  # SPD
+    kmat = dense(pencil.K_band)
+    assert np.abs(kmat - kmat.T).max() == 0.0
+    np.linalg.cholesky(kmat)  # SPD
 
 
 @pytest.mark.parametrize("n_elements", [64, 128])
@@ -69,22 +70,22 @@ def test_assemble_B_adds_endpoint_blocks_at_endpoint_dofs(profile, params,
     expected = lam * wgrad + params.mu * h2 + embedded[0] + embedded[1]
     pencil = rt.assemble_B(mesh, profile, params, k, lam)
     assert pencil.K_band.shape == (BANDWIDTH + 1, mesh.dof_count)
-    assert np.array_equal(pencil.K, expected)
-    assert pencil.Mw is layer_forms(mesh, profile)[3]
+    assert np.array_equal(dense(pencil.K_band), expected)
+    assert pencil.Mw_band is layer_forms(mesh, profile)[3]
 
 
 def test_degenerate_profile_keeps_operator_spd(degenerate_profile, params,
                                                mesh64):
     pencil = rt.assemble_B(mesh64, degenerate_profile, params, 1.0, 0.1)
-    assert np.abs(pencil.Mw).max() == 0.0
-    np.linalg.cholesky(pencil.K)
+    assert np.abs(pencil.Mw_band).max() == 0.0
+    np.linalg.cholesky(dense(pencil.K_band))
 
 
 def test_rate_dependence_is_gradient_form_plus_boundary(profile, params,
                                                         mesh64):
     lam1, lam2, k = 0.2, 0.7, 1.0
-    k1 = rt.assemble_B(mesh64, profile, params, k, lam1).K
-    k2 = rt.assemble_B(mesh64, profile, params, k, lam2).K
+    k1 = dense(rt.assemble_B(mesh64, profile, params, k, lam1).K_band)
+    k2 = dense(rt.assemble_B(mesh64, profile, params, k, lam2).K_band)
     wgrad = dense(assemble_weighted_gradient_form(mesh64, profile, k))
     interior = np.ones(mesh64.dof_count, bool)
     interior[[0, 1, -2, -1]] = False
@@ -98,12 +99,12 @@ def test_rate_dependence_is_gradient_form_plus_boundary(profile, params,
 def test_operator_coercivity_on_random_vectors(profile, params, mesh64):
     k, lam = 1.0, 0.3
     pencil = rt.assemble_B(mesh64, profile, params, k, lam)
-    h2 = dense(assemble_h2_form(mesh64, k))
+    kmat, h2 = dense(pencil.K_band), dense(assemble_h2_form(mesh64, k))
     bound = rt.coercivity_bound(k * mesh64.a)
     rng = np.random.default_rng(0)
     for _ in range(100):
         c = rng.standard_normal(mesh64.dof_count)
-        assert (c @ pencil.K @ c / params.mu
+        assert (c @ kmat @ c / params.mu
                 >= bound * (c @ h2 @ c) * (1.0 - 1e-12))
 
 
@@ -117,7 +118,7 @@ def test_gamma_spectrum_contract(profile, params, mesh64):
     # the pairs themselves cannot be measured more accurately in doubles
     assert spec.max_residual <= 1e-8
     # vectors are K-orthonormal (same eps * cond(K) floor)
-    gram = spec.vectors.T @ pencil.K @ spec.vectors
+    gram = spec.vectors.T @ dense(pencil.K_band) @ spec.vectors
     assert np.abs(gram - np.eye(6)).max() <= 1e-8
     # eigenvalue-only path agrees
     vals = rt.gamma_values(pencil, 6)
@@ -162,7 +163,7 @@ def test_gamma_scales_linearly_with_mass(profile, params, mesh64):
     import dataclasses
     pencil = rt.assemble_B(mesh64, profile, params, 1.0, 0.1)
     scaled = dataclasses.replace(
-        pencil, Mw=3.0 * pencil.Mw)
+        pencil, Mw_band=3.0 * pencil.Mw_band)
     g1 = rt.gamma_spectrum(pencil, 4).gammas
     g3 = rt.gamma_spectrum(scaled, 4).gammas
     assert np.allclose(g3, 3.0 * g1, rtol=1e-12)
@@ -268,14 +269,68 @@ def test_assemble_B_rejects_indefinite_operator(profile, params, n_elements,
         rt.assemble_B(mesh, profile, params, 1.0, 0.5)
 
 
-def test_dense_K_is_built_only_for_dense_solves(profile, params, mesh64):
+def test_dense_matrices_are_built_only_for_dense_solves(profile, params,
+                                                         mesh64, monkeypatch):
     k, lam = 1.0, 0.3
     start = branch_evaluation(rt.assemble_B(mesh64, profile, params, k, lam), 2)
+    built = []
+
+    def counted(band):
+        built.append(band.shape)
+        return dense(band)
+    monkeypatch.setattr(spectral_core, "dense", counted)
     pencil = rt.assemble_B(mesh64, profile, params, k, 1.01 * lam)
-    assert "K" not in vars(pencil)
+    assert built == []
     warm = branch_evaluation(pencil, 2, start.block)
-    assert not warm.dense
-    assert "K" not in vars(pencil)
+    assert not warm.dense and built == []
     cold = branch_evaluation(pencil, 2)
     assert cold.dense
-    assert np.array_equal(vars(pencil)["K"], dense(pencil.K_band))
+    # the constrained Mw and K, one DOF short of the full pencil
+    assert built == [(BANDWIDTH + 1, mesh64.dof_count - 1)] * 2
+
+
+def _trial_map(n, row):
+    """The N x (N - 1) trial map T that fills the last DOF with
+    row . x[-4:-1]."""
+    t = np.eye(n, n - 1)
+    t[-1, -3:] = row
+    return t
+
+
+def _random_band(n, seed):
+    """The lower band of a random symmetric matrix, empty past its last row."""
+    band = np.random.default_rng(seed).standard_normal((BANDWIDTH + 1, n))
+    for d in range(1, BANDWIDTH + 1):
+        band[d, n - d:] = 0.0
+    return band
+
+
+@pytest.mark.parametrize("n_elements", [2, 16])
+def test_constrained_band_is_the_reduced_form(profile, params, n_elements):
+    mesh = rt.build_mesh(profile.a, n_elements)
+    pencil = rt.assemble_B(mesh, profile, params, 1.3, 0.2)
+    row = pencil.moment_row
+    t = _trial_map(mesh.dof_count, row)
+    for band in (_random_band(mesh.dof_count, n_elements), pencil.K_band,
+                 pencil.Mw_band):
+        reduced = dense(spectral_core._constrained(band, row))
+        expected = t.T @ dense(band) @ t
+        assert np.abs(reduced - expected).max() <= (
+            1e-15 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("columns", [None, 1, 3])
+def test_band_apply_is_the_dense_product(columns):
+    n = 34
+    band = _random_band(n, 5)
+    shape = (n,) if columns is None else (n, columns)
+    x = np.random.default_rng(6).standard_normal(shape)
+    matrix = dense(band)
+    expected = matrix @ x
+    product = spectral_core._band_apply(band, x)
+    assert product.shape == expected.shape
+    # both sums of 2 * BANDWIDTH + 1 products round within that many eps
+    # of the sum of magnitudes
+    terms = 2 * BANDWIDTH + 1
+    bound = 2 * terms * np.finfo(float).eps * (np.abs(matrix) @ np.abs(x))
+    assert np.all(np.abs(product - expected) <= bound)

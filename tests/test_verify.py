@@ -358,6 +358,23 @@ def test_convergence_suite_assembles_each_mass_once(profile, params,
     assert assembled == [32] * 3 + [64] * 3 + [128] * 3
 
 
+def test_run_suite_assembles_each_mesh_once(profile, params, clear_forms,
+                                            monkeypatch):
+    # equal meshes built again share H2's parts (S0, S1, S2): the suite
+    # builds meshes of 64 elements four times, but assembles them once
+    assembled = []
+    interior_form = discretization._interior_form
+
+    def counted(mesh, order, c):
+        if np.ndim(c) == 0:
+            assembled.append(mesh.n_elements)
+        return interior_form(mesh, order, c)
+
+    monkeypatch.setattr(discretization, "_interior_form", counted)
+    run_suite("all", profile, params)
+    assert sorted(assembled) == [32] * 3 + [64] * 3 + [128] * 3
+
+
 def test_monotone_grid_rises_below_a_unit_cap(profile):
     # a cap sqrt(g/L0) below the grid floor once reversed the grid and
     # failed every row
