@@ -34,7 +34,6 @@ from .modes import (
     evaluate_field,
     horizontal_velocity,
     mode_table,
-    outer_coefficients,
     poisson_extend,
     poisson_gradient_l2,
     surface_l2,
@@ -70,8 +69,7 @@ __all__ = [
     "refinement_agreement", "solve_lambda_n",
     "FieldSample", "HalfLineFunction", "NormalMode", "SurfaceSeries",
     "build_normal_mode", "evaluate_field", "horizontal_velocity", "mode_table",
-    "outer_coefficients", "poisson_extend", "poisson_gradient_l2",
-    "surface_l2",
+    "poisson_extend", "poisson_gradient_l2", "surface_l2",
     "CheckReport", "check_variational_inequality",
     "energy_identity_residual", "fixed_point_residual",
     "monotonicity_probe", "random_trial", "run_suite",

@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .discretization import Mesh, build_mesh
+from .discretization import DEFAULT_QUADRATURE_POINTS, Mesh, build_mesh
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import ConfigError
 from .growth_solver import SolverSettings
+from .modes import DEFAULT_DOMAIN_FACTOR, DEFAULT_SAMPLES
 
 # Every key with its default; a key's type is that of its default.
 _DEFAULTS: dict[str, object] = {
@@ -25,15 +26,15 @@ _DEFAULTS: dict[str, object] = {
     "params.mu": 1.0,
     "params.g": 1.0,
     "mesh.n_elements": 64,
-    "mesh.quadrature_points": 10,
-    "solver.tol_rel": 1e-10,
-    "solver.max_iter": 200,
+    "mesh.quadrature_points": DEFAULT_QUADRATURE_POINTS,
+    "solver.tol_rel": SolverSettings.tol_rel,
+    "solver.max_iter": SolverSettings.max_iter,
     "solver.n_max": 8,
     "lattice.L1": 1.0,
     "lattice.L2": 1.0,
     "lattice.Kmax": 8.0,
-    "modes.samples": 512,
-    "modes.domain_factor": 10.0,
+    "modes.samples": DEFAULT_SAMPLES,
+    "modes.domain_factor": DEFAULT_DOMAIN_FACTOR,
     "seed": 0,
 }
 

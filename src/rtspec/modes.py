@@ -3,11 +3,11 @@
 A converged growth-rate branch gives the vertical-velocity amplitude phi
 on the stratified layer [-a, 0] as a C1 element function, and a
 ``HalfLineFunction`` (verify's trial functions too) continues it below
-the layer by the decaying tail A1 e^{k x} + A2 e^{tau x} that C1 matching
-fixes.  This module derives the pressure amplitude, takes the
-horizontal-velocity amplitudes in closed form from incompressibility, and
-packages the density and surface amplitudes that close the mode.  A small
-Poisson-extension toolkit for surface data lives here as well.
+the layer by the decaying tail that C1 matching fixes.  Every other
+amplitude reads that one function on the whole half line: the pressure
+by the momentum balance, the horizontal velocities by incompressibility,
+the density and surface amplitudes by closure.  A small Poisson-extension
+toolkit for surface data lives here as well.
 """
 
 from __future__ import annotations
@@ -29,21 +29,6 @@ DEFAULT_DOMAIN_FACTOR = 10.0
 DEFAULT_SAMPLES = 512
 
 
-def outer_coefficients(phi_at_a: float, dphi_at_a: float, k: float,
-                       tau: float) -> tuple[float, float]:
-    """Tail coefficients (A1, A2) from C1 matching data at the layer bottom.
-
-    The tail A1 e^{k(x+a)} + A2 e^{tau(x+a)} matches value and slope; tau
-    exceeds k strictly for any positive rate, so the system is regular.
-    """
-    if not tau > k:
-        raise ValueError("outer decay rate tau must exceed k (requires lam > 0)")
-    den = tau - k
-    a1 = (tau * phi_at_a - dphi_at_a) / den
-    a2 = (dphi_at_a - k * phi_at_a) / den
-    return a1, a2
-
-
 # -- functions on the half line ----------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -51,9 +36,9 @@ class HalfLineFunction:
     """An H2 function on x <= 0: a C1 element function on the layer
     [-a, 0] (a = ``mesh.a``), continued below by the decaying tail
     A1 e^{k(x+a)} + A2 e^{tau(x+a)} that matches its value and slope at -a
-    (tau > k).  The tail is evaluated in the matching basis of
-    ``verify.tail_integrals``, not from (A1, A2): those grow like
-    1 / (tau - k) and cancel as tau nears k.
+    (tau > k).  The tail is read through its data in the matching basis
+    (``matching``, the basis of ``verify.tail_integrals``), not from
+    (A1, A2): those grow like 1 / (tau - k) and cancel as tau nears k.
 
     ``coeffs`` is one DOF vector, or a (dof, m) block whose columns share
     the mesh, k and tau; only a single function is evaluated.
@@ -69,10 +54,11 @@ class HalfLineFunction:
             raise ValueError("outer decay rate tau must exceed k")
 
     @property
-    def tail(self) -> tuple[float, float]:
-        """Tail coefficients (A1, A2), from ``outer_coefficients``."""
-        return outer_coefficients(self.coeffs[0], self.coeffs[1], self.k,
-                                  self.tau)
+    def matching(self) -> tuple:
+        """Tail data (p, q) = (phi(-a), phi'(-a) - k phi(-a)) of the
+        matching basis e^{ks} (p + q E(s)), one value per column."""
+        p = self.coeffs[0]
+        return p, self.coeffs[1] - self.k * p
 
     def __call__(self, x, deriv: int = 0):
         """Value (or x-derivative up to order 3) at points x <= 0."""
@@ -89,11 +75,10 @@ class HalfLineFunction:
             out[inner] = HermiteFunction(self.mesh, self.coeffs)(x[inner], deriv)
         if (~inner).any():
             # e^{ks} (p + q E(s)), E(s) = expm1((tau - k) s) / (tau - k),
-            # with p = phi(-a), q = phi'(-a) - k phi(-a) and s = x + a
+            # with s = x + a
             s = x[~inner] + self.mesh.a
             k, tau = self.k, self.tau
-            p = self.coeffs[0]
-            q = self.coeffs[1] - k * p
+            p, q = self.matching
             rising = sum(tau**i * k**(deriv - 1 - i) for i in range(deriv))
             e = np.expm1((tau - k) * s) / (tau - k)
             out[~inner] = np.exp(k * s) * (p * k**deriv
@@ -157,9 +142,12 @@ class NormalMode:
     record: GrowthRecord
 
     def pressure(self, x):
-        """Pressure amplitude; closed form below the layer, elementwise above.
+        """Pressure amplitude -(lam rho0 phi' + mu (k^2 phi' - phi''')) / k^2.
 
-        The interior third derivative comes from the cubic basis (piecewise
+        The momentum balance, on the whole half line.  Below the layer rho0
+        is rho_minus and the tail's e^{tau s} terms cancel (tau^2 - k^2 =
+        lam rho_minus / mu), leaving -(lam rho_minus / k) A1 e^{k(x+a)}.  On
+        the layer the third derivative comes from the cubic basis (piecewise
         constant), so the pressure carries one order less accuracy than phi.
         """
         x = np.asarray(x, dtype=float)
@@ -168,17 +156,9 @@ class NormalMode:
         if np.any(x > 0.0):
             raise ValueError("mode profiles are defined on x3 <= 0 only")
         lam, k, mu = self.lambda_n, self.k, self.params.mu
-        out = np.empty_like(x)
-        inner = x >= -self.mesh.a
-        if inner.any():
-            xi = x[inner]
-            slope = self.phi(xi, 1)
-            out[inner] = -(lam * self.profile.rho0(xi) * slope
-                           + mu * (k * k * slope - self.phi(xi, 3))) / k**2
-        if (~inner).any():
-            xo = x[~inner] + self.mesh.a
-            a1 = self.phi.tail[0]
-            out[~inner] = -(lam * self.profile.rho_minus / k) * a1 * np.exp(k * xo)
+        slope = self.phi(x, 1)
+        out = -(lam * self.profile.rho0(x) * slope
+                + mu * (k * k * slope - self.phi(x, 3))) / k**2
         return float(out[0]) if scalar else out
 
     def omega(self, x):
@@ -197,6 +177,9 @@ def build_normal_mode(mesh: Mesh, profile: DensityProfile, params: PhysicalParam
         raise ValueError("zero wavenumber excluded")
     if record is None:
         record = solve_lambda_n(mesh, profile, params, k, n, settings)
+    elif record.n != n or abs(record.k - k) > 1e-12 * k:
+        raise ValueError(f"record of |k|={record.k}, n={record.n} given for "
+                         f"|k|={k}, n={n}")
     if not record.converged:
         error = (NoUnstableBranchError if record.reason == NO_UNSTABLE_BRANCH
                  else NumericalError)
@@ -265,10 +248,15 @@ class SurfaceSeries:
     terms: tuple[tuple[tuple[float, float], complex], ...]
 
     def __post_init__(self) -> None:
+        seen = set()
         for (k1, k2), _ in self.terms:
             if k1 == 0.0 and k2 == 0.0:
                 raise ValueError("surface series must have zero average "
                                  "(mode (0,0) excluded)")
+            if (k1, k2) in seen or (-k1, -k2) in seen:
+                raise ValueError(f"wavevector ({k1}, {k2}) repeats or opposes "
+                                 "another term (orthogonality fails)")
+            seen.add((k1, k2))
 
     def eval(self, x1: float, x2: float) -> float:
         return sum((c * np.exp(1j * (k1 * x1 + k2 * x2))).real
@@ -315,13 +303,17 @@ def mode_table(mode: NormalMode, samples: int = DEFAULT_SAMPLES,
                ) -> tuple[dict, np.ndarray]:
     """Header fields and sampled profile rows for mode-file emission.
 
-    The rows reach max(2, ceil(domain_factor / (k h))) element widths h
-    below the layer, where the profiles are closed forms.
+    The header's A2 = q / (tau - k) is q mu (tau + k) / (lam rho_minus),
+    which subtracts nothing, and A1 = p - A2.  The rows reach
+    max(2, ceil(domain_factor / (k h))) element widths h below the layer,
+    where the profiles are closed forms.
     """
-    a1, a2 = mode.phi.tail
+    p, q = mode.phi.matching
+    a2 = q * mode.params.mu * (mode.phi.tau + mode.k) / (
+        mode.lambda_n * mode.profile.rho_minus)
     header = {
         "k1": mode.k_vec[0], "k2": mode.k_vec[1], "n": mode.n,
-        "lambda": mode.lambda_n, "A1": a1, "A2": a2,
+        "lambda": mode.lambda_n, "A1": p - a2, "A2": a2,
         "tau_minus": mode.phi.tau, "nu": mode.nu,
     }
     h = mode.mesh.h

@@ -189,17 +189,23 @@ def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _dense_pairs(pencil: PencilAssembly, count: int | None = None):
+def _constrained_bands(pencil: PencilAssembly) -> tuple:
+    """Lower bands of the moment-constrained (Mw, K)."""
+    row = pencil.moment_row
+    return _constrained(pencil.Mw_band, row), _constrained(pencil.K_band, row)
+
+
+def _dense_pairs(pencil: PencilAssembly, count: int | None = None,
+                 bands: tuple | None = None):
     """Leading ``count`` eigenpairs (all without it) of the pencil on the
     moment-constrained trial space, by decreasing eigenvalue.
 
-    Returns (values, constrained vectors); ``_lift`` gives full DOF
-    vectors.  This is the one dense eigensolve of (Mw, K); it factors
-    the constrained K and raises CoercivityError if that fails.
+    ``bands`` are the pencil's ``_constrained_bands`` when the caller
+    already holds them.  Returns (values, constrained vectors); ``_lift``
+    gives full DOF vectors.  This is the one dense eigensolve of (Mw, K);
+    it factors the constrained K and raises CoercivityError if that fails.
     """
-    row = pencil.moment_row
-    mw = dense(_constrained(pencil.Mw_band, row))
-    kmat = dense(_constrained(pencil.K_band, row))
+    mw, kmat = map(dense, bands or _constrained_bands(pencil))
     dof = kmat.shape[0]
     subset = None if count is None else (max(0, dof - count), dof - 1)
     try:
@@ -226,16 +232,16 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    vals, vecs = _dense_pairs(pencil)
-    count, row = min(n_max, _positive_count(vals)), pencil.moment_row
+    bands = _constrained_bands(pencil)
+    vals, vecs = _dense_pairs(pencil, bands=bands)
+    count = min(n_max, _positive_count(vals))
     gammas, x = vals[:count].copy(), vecs[:, :count]
-    mx = _band_apply(_constrained(pencil.Mw_band, row), x)
-    kx = _band_apply(_constrained(pencil.K_band, row), x)
+    mx, kx = (_band_apply(band, x) for band in bands)
     scale = np.maximum(np.linalg.norm(mx, axis=0),
                        gammas * np.linalg.norm(kx, axis=0))
     max_residual = float((np.linalg.norm(mx - kx * gammas, axis=0)
                           / scale).max(initial=0.0))
-    return SpectrumResult(gammas=gammas, vectors=_lift(x, row),
+    return SpectrumResult(gammas=gammas, vectors=_lift(x, pencil.moment_row),
                           complete=count == n_max, max_residual=max_residual)
 
 
@@ -300,8 +306,7 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     """
     if not np.isfinite(pencil.K_band[:, -4:]).all():
         return None  # g k^2 rho+ / lam overflowed to inf in the corner
-    row = pencil.moment_row
-    mw, kband = (_constrained(b, row) for b in (pencil.Mw_band, pencil.K_band))
+    mw, kband = _constrained_bands(pencil)
     try:
         factor = sla.cholesky_banded(kband, overwrite_ab=True, lower=True,
                                      check_finite=False)

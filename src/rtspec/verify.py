@@ -144,9 +144,7 @@ def _energy_terms(phi: HalfLineFunction, profile: DensityProfile,
     k = phi.k
     w, rho, drho = layer_forms(phi.mesh, profile)[:3]
     v, dv, ddv = quadrature_values(phi.mesh, phi.coeffs)
-    p = phi.coeffs[0]
-    mass_out, grad_out, stress_out = tail_integrals(p, phi.coeffs[1] - k * p,
-                                                    k, phi.tau)
+    mass_out, grad_out, stress_out = tail_integrals(*phi.matching, k, phi.tau)
     weighted_grad = (w * rho) @ (k * k * v * v + dv * dv)
     stress = w @ ((ddv + k * k * v) ** 2 + 4.0 * k * k * dv * dv)
     kinetic = rate**2 * (weighted_grad

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import rtspec as rt
 from rtspec import _threads, cli
 from rtspec.cli import CSV_HEADER, main
-from rtspec.config import load_config
+from rtspec.config import _DEFAULTS, load_config
 from rtspec.errors import ConfigError
 
 # (setter, getter) symbol names of numpy's, scipy's and a plain OpenBLAS.
@@ -92,6 +93,18 @@ def test_config_echo_has_every_key():
     assert "profile.kind = bump" in lines
     assert any(line.startswith("solver.tol_rel = ") for line in lines)
     assert len(lines) == 17
+
+
+def test_readme_lists_every_key_with_its_default():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Keys and defaults:", 1)[1].split("```")[1]
+    listed = [line.split("#", 1)[0].split("=", 1)
+              for line in block.strip().splitlines()]
+    keys = [key.strip() for key, _ in listed]
+    assert keys == list(_DEFAULTS)
+    for key, raw in listed:
+        default = _DEFAULTS[key.strip()]
+        assert type(default)(raw.strip()) == default, key
 
 
 def test_dispersion_command_output(tmp_path):

@@ -22,23 +22,12 @@ def divergence_residual(mode):
     return np.abs(div).max(), scale
 
 
-def test_outer_coefficients_pure_branches():
-    k, tau = 1.3, 2.1
-    assert rt.outer_coefficients(1.0, k, k, tau) == pytest.approx((1.0, 0.0))
-    assert rt.outer_coefficients(1.0, tau, k, tau) == pytest.approx((0.0, 1.0))
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        v, d = rng.standard_normal(2)
-        a1, a2 = rt.outer_coefficients(v, d, k, tau)
-        assert a1 + a2 == pytest.approx(v, abs=1e-14)
-        assert k * a1 + tau * a2 == pytest.approx(d, abs=1e-14)
-    with pytest.raises(ValueError):
-        rt.outer_coefficients(1.0, 1.0, 1.0, 1.0)
-    # a half-line function's tail divides by tau - k wherever it is read
+def test_half_line_function_requires_tau_above_k():
+    # the tail's E(s) divides by tau - k wherever it is read
     mesh = rt.build_mesh(1.0, 4)
     with pytest.raises(ValueError):
-        rt.HalfLineFunction(mesh=mesh, coeffs=np.ones(mesh.dof_count), k=k,
-                            tau=k)
+        rt.HalfLineFunction(mesh=mesh, coeffs=np.ones(mesh.dof_count), k=1.3,
+                            tau=1.3)
 
 
 @pytest.mark.parametrize("x", [-3.0, -0.5, [-3.0, -0.5]])
@@ -59,8 +48,9 @@ def test_mode_basic_closures(mode64):
     coeffs = mode.phi.coeffs
     # surface amplitude closure is definitional
     assert mode.nu * mode.lambda_n == pytest.approx(coeffs[-2], abs=1e-14)
-    # the tail is derived from the DOFs and matches them exactly
-    a1, a2 = mode.phi.tail
+    # the header's tail coefficients match the layer DOFs at -a
+    header = rt.mode_table(mode)[0]
+    a1, a2 = header["A1"], header["A2"]
     assert (mode.phi.k, mode.phi.mesh.a) == (mode.k, mode.profile.a)
     assert a1 + a2 == pytest.approx(coeffs[0], abs=1e-12)
     assert mode.k * a1 + mode.phi.tau * a2 == pytest.approx(coeffs[1],
@@ -74,6 +64,20 @@ def test_mode_basic_closures(mode64):
     x_in = np.linspace(-0.9, -0.1, 7)
     expected = -mode.profile.drho0(x_in) * mode.phi(x_in) / mode.lambda_n
     assert np.allclose(mode.omega(x_in), expected, rtol=1e-13)
+
+
+def test_record_of_another_branch_is_rejected(mesh64, profile, params,
+                                               mode64):
+    record = mode64.record  # k = 1, n = 1
+    for k_vec, n in (((2.0, 0.0), 2), ((2.0, 0.0), 1), ((1.0, 0.0), 2),
+                     ((1.0, 1e-5), 1)):
+        with pytest.raises(ValueError, match="record of"):
+            rt.build_normal_mode(mesh64, profile, params, k_vec, n,
+                                 record=record)
+    # the same |k| along another direction reads the record
+    mode = rt.build_normal_mode(mesh64, profile, params, (0.6, 0.8), 1,
+                                record=record)
+    assert mode.lambda_n == mode64.lambda_n
 
 
 def test_phi_continuity_across_matching_depth(mode64):
@@ -158,20 +162,58 @@ def _exact_tail(p, q, k, tau, s, deriv):
         return float(value)
 
 
+def _exact_coefficients(p, q, k, lam, rho_minus, mu):
+    """(tau, A1, A2) of the tail p e^{ks} + q D(s) in 40-digit decimal
+    arithmetic, tau = sqrt(k^2 + lam rho_minus / mu), from the floats given."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        p, q, k, lam, rho_minus, mu = map(decimal.Decimal,
+                                          (p, q, k, lam, rho_minus, mu))
+        tau = (k * k + lam * rho_minus / mu).sqrt()
+        a2 = q / (tau - k)
+        return tau, float(p - a2), float(a2)
+
+
 def test_tail_is_exact_as_tau_nears_k():
-    # slow growth and strong viscosity: tau - k = 3.4e-7, and the tail
-    # coefficients A1 = -A2 = 3.3e6 would cancel to 4e-10 here
-    profile = rt.DensityProfile(rho_minus=1.0, rho_plus=1.1, a=1.0)
-    params = rt.PhysicalParams(mu=20.0, g=0.04)
+    # slow growth and strong viscosity: tau - k = 3.4e-7 and 3.2e-10, and
+    # the tail coefficients A1 = -A2 (3.3e6 in the first set) cancel here
+    for rho_plus, mu, g, gap in ((1.1, 20.0, 0.04, 1e-6),
+                                 (1.01, 100.0, 0.01, 1e-9)):
+        _check_tail_near_k(rt.DensityProfile(rho_minus=1.0, rho_plus=rho_plus,
+                                             a=1.0),
+                           rt.PhysicalParams(mu=mu, g=g), gap)
+
+
+def _check_tail_near_k(profile, params, gap):
     mode = rt.build_normal_mode(rt.build_mesh(1.0, 64), profile, params,
                                 (1.0, 0.0), 1)
-    phi, k = mode.phi, mode.k
-    assert phi.tau - k < 1e-6
-    p, q = phi.coeffs[0], phi.coeffs[1] - k * phi.coeffs[0]
+    phi, k, lam = mode.phi, mode.k, mode.lambda_n
+    assert phi.tau - k < gap
+    p, q = phi.matching
     x = np.linspace(-11.0, -1.001, 25)
     for deriv in (0, 1):
         exact = [_exact_tail(p, q, k, phi.tau, xi + 1.0, deriv) for xi in x]
         assert np.abs(phi(x, deriv) - exact).max() <= 1e-13
+    # every tail column of the mode file, and its header, to rounding
+    tau, a1, a2 = _exact_coefficients(p, q, k, lam, profile.rho_minus,
+                                      params.mu)
+    header, rows = rt.mode_table(mode)
+    assert header["A1"] == pytest.approx(a1, rel=1e-14, abs=0.0)
+    assert header["A2"] == pytest.approx(a2, rel=1e-14, abs=0.0)
+    tail = rows[:, 0] < -profile.a
+    s = rows[tail, 0] + profile.a
+    slope = np.array([_exact_tail(p, q, k, tau, si, 1) for si in s])
+    exact = {
+        "phi": [_exact_tail(p, q, k, tau, si, 0) for si in s],
+        "dphi": slope,
+        "psi": -slope / k,
+        "varphi": 0.0 * slope,
+        "pi": -(lam * profile.rho_minus / k) * a1 * np.exp(k * s),
+        "omega": 0.0 * slope,
+    }
+    for j, column in enumerate(MODE_COLUMNS[1:], 1):
+        scale = np.abs(rows[:, j]).max()
+        assert np.abs(rows[tail, j] - exact[column]).max() <= 1e-14 * scale
 
 
 def test_pressure_uniform_profile_oracle(params):
@@ -200,21 +242,33 @@ def test_pressure_uniform_profile_oracle(params):
     assert errs["all", 128] <= 0.65 * errs["all", 64]
 
 
+def _with_slope_at_bottom(mode, slope):
+    """``mode`` with phi'(-a) set to ``slope``."""
+    coeffs = mode.phi.coeffs.copy()
+    coeffs[1] = slope
+    return dataclasses.replace(
+        mode, phi=dataclasses.replace(mode.phi, coeffs=coeffs))
+
+
 def test_pressure_outer_form(profile, params, mesh64, mode64):
     # below the layer the pressure carries only the slow k-branch
     mode = mode64
     x = np.array([-1.5, -2.5, -4.0])
-    expected = -(mode.lambda_n * profile.rho_minus / mode.k) * mode.phi.tail[0] \
-        * np.exp(mode.k * (x + profile.a))
-    assert np.allclose(mode.pressure(x), expected, rtol=1e-13)
-    # pure fast-branch matching data, phi'(-a) = tau phi(-a), gives A1 = 0
-    # and leaves the outer pressure identically zero
-    coeffs = mode.phi.coeffs.copy()
-    coeffs[1] = mode.phi.tau * coeffs[0]
-    tweaked = dataclasses.replace(
-        mode, phi=dataclasses.replace(mode.phi, coeffs=coeffs))
-    assert tweaked.phi.tail[0] == 0.0
-    assert np.abs(tweaked.pressure(x)).max() == 0.0
+    outer = -(mode.lambda_n * profile.rho_minus / mode.k) * np.exp(
+        mode.k * (x + profile.a))
+    a1 = rt.mode_table(mode)[0]["A1"]
+    assert np.allclose(mode.pressure(x), a1 * outer, rtol=1e-13)
+    # pure slow-branch data, phi'(-a) = k phi(-a) (q = 0): A1 = phi(-a)
+    p = mode.phi.coeffs[0]
+    slow = _with_slope_at_bottom(mode, mode.k * p)
+    assert slow.phi.matching[1] == 0.0
+    assert np.abs(slow.pressure(x) - p * outer).max() <= 1e-14 * np.abs(
+        p * outer).max()
+    # pure fast-branch data, phi'(-a) = tau phi(-a), gives A1 = 0: the
+    # e^{tau s} terms of the momentum balance cancel to rounding
+    fast = _with_slope_at_bottom(mode, mode.phi.tau * p)
+    layer = np.abs(fast.pressure(np.linspace(-1.0, 0.0, 201))).max()
+    assert np.abs(fast.pressure(x)).max() <= 1e-15 * layer
 
 
 def test_pressure_evaluates_each_derivative_once(mode64, monkeypatch):
@@ -308,6 +362,17 @@ def test_poisson_extension_pointwise():
         rt.poisson_extend(series, (0.0, 0.0, 0.5))
     with pytest.raises(ValueError):
         rt.SurfaceSeries(L1=1.0, L2=1.0, terms=(((0.0, 0.0), 1.0 + 0.0j),))
+
+
+@pytest.mark.parametrize("terms", [
+    (((1.0, 0.0), 1.0), ((1.0, 0.0), 1.0)),
+    (((1.0, 0.0), 1.0), ((-1.0, 0.0), 1.0)),
+    (((0.0, 2.0), 0.5), ((1.0, 1.0), 1.0), ((-0.0, -2.0), 0.5j)),
+])
+def test_surface_series_rejects_repeated_and_opposite_wavevectors(terms):
+    # the norms sum |c|^2 by orthogonality: 2 cos x1 would count half
+    with pytest.raises(ValueError, match="repeats or opposes"):
+        rt.SurfaceSeries(L1=1.0, L2=1.0, terms=terms)
 
 
 def test_poisson_gradient_identity():

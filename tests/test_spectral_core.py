@@ -289,6 +289,19 @@ def test_dense_matrices_are_built_only_for_dense_solves(profile, params,
     assert built == [(BANDWIDTH + 1, mesh64.dof_count - 1)] * 2
 
 
+def test_gamma_spectrum_constrains_each_band_once(profile, params, mesh64,
+                                                   monkeypatch):
+    calls = []
+
+    def counted(band, row):
+        calls.append(band.shape)
+        return constrained(band, row)
+    constrained = spectral_core._constrained
+    monkeypatch.setattr(spectral_core, "_constrained", counted)
+    rt.gamma_spectrum(rt.assemble_B(mesh64, profile, params, 1.0, 0.3), 3)
+    assert len(calls) == 2
+
+
 def _trial_map(n, row):
     """The N x (N - 1) trial map T that fills the last DOF with
     row . x[-4:-1]."""

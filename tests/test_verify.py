@@ -140,7 +140,7 @@ def test_random_trials_are_seeded(mesh64):
     # C1 tail gluing baked into the left DOFs: the tail is phi(-a) e^{k(x+a)}
     assert a.coeffs[1] == pytest.approx(1.0 * a.coeffs[0], rel=1e-15)
     assert (a.k, a.tau) == (1.0, 2.0)
-    assert a.tail == (a.coeffs[0], 0.0)
+    assert a.matching[1] == 0.0
 
 
 def test_random_trials_respect_bound(profile, params, mesh64, lattice_max):
@@ -250,7 +250,7 @@ def test_trial_blocks_are_reproducible_from_the_seed(mesh64):
         assert np.array_equal(a.coeffs, b.coeffs)
         # every column carries the pure e^{ks} tail
         assert np.array_equal(a.coeffs[1], 1.5 * a.coeffs[0])
-        assert np.array_equal(a.tail[1], np.zeros(a.coeffs.shape[1]))
+        assert np.array_equal(a.matching[1], np.zeros(a.coeffs.shape[1]))
     assert not np.array_equal(draw(12)[0][0].coeffs, first[0].coeffs)
 
 
