@@ -195,17 +195,17 @@ def _constrained_bands(pencil: PencilAssembly) -> tuple:
     return _constrained(pencil.Mw_band, row), _constrained(pencil.K_band, row)
 
 
-def _dense_pairs(pencil: PencilAssembly, count: int | None = None,
-                 bands: tuple | None = None):
+def _dense_pairs(pencil: PencilAssembly, bands: tuple,
+                 count: int | None = None):
     """Leading ``count`` eigenpairs (all without it) of the pencil on the
     moment-constrained trial space, by decreasing eigenvalue.
 
-    ``bands`` are the pencil's ``_constrained_bands`` when the caller
-    already holds them.  Returns (values, constrained vectors); ``_lift``
-    gives full DOF vectors.  This is the one dense eigensolve of (Mw, K);
-    it factors the constrained K and raises CoercivityError if that fails.
+    ``bands`` are the pencil's ``_constrained_bands``.  Returns (values,
+    constrained vectors); ``_lift`` gives full DOF vectors.  This is the
+    one dense eigensolve of (Mw, K); it factors the constrained K and
+    raises CoercivityError if that fails.
     """
-    mw, kmat = map(dense, bands or _constrained_bands(pencil))
+    mw, kmat = map(dense, bands)
     dof = kmat.shape[0]
     subset = None if count is None else (max(0, dof - count), dof - 1)
     try:
@@ -233,7 +233,7 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     bands = _constrained_bands(pencil)
-    vals, vecs = _dense_pairs(pencil, bands=bands)
+    vals, vecs = _dense_pairs(pencil, bands)
     count = min(n_max, _positive_count(vals))
     gammas, x = vals[:count].copy(), vecs[:, :count]
     mx, kx = (_band_apply(band, x) for band in bands)
@@ -251,7 +251,7 @@ def gamma_values(pencil: PencilAssembly, n_max: int) -> np.ndarray:
     They carry eps * cond(K) relative noise; ``branch_evaluation`` is the
     accurate evaluation.
     """
-    vals = _dense_pairs(pencil, n_max)[0]
+    vals = _dense_pairs(pencil, _constrained_bands(pencil), n_max)[0]
     return vals[:_positive_count(vals)]
 
 
@@ -355,7 +355,8 @@ def branch_evaluation(pencil: PencilAssembly, n: int,
         if found is not None:
             return _evaluation(pencil, n, *found)
     count = n if block is None else n + _GUARD_VECTORS
-    return _evaluation(pencil, n, *_dense_pairs(pencil, count))
+    return _evaluation(pencil, n, *_dense_pairs(
+        pencil, _constrained_bands(pencil), count))
 
 
 def dense_branches(pencil: PencilAssembly, n: int) -> list[BranchEvaluation]:
@@ -367,6 +368,6 @@ def dense_branches(pencil: PencilAssembly, n: int) -> list[BranchEvaluation]:
     shares one lower bracket end among n branches starts each branch
     exactly where a single solve would.
     """
-    vals, vecs = _dense_pairs(pencil)
+    vals, vecs = _dense_pairs(pencil, _constrained_bands(pencil))
     return [_evaluation(pencil, m, vals, vecs)
             for m in range(1, min(n, _positive_count(vals)) + 1)]
