@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import _lapack
 from .discretization import (
     ENDPOINT_DOFS,
     Mesh,
@@ -149,15 +149,16 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     K is ``lam * WGRAD + mu * H2`` plus the endpoint blocks BV0 and then
     BVA, added at ``ENDPOINT_DOFS``.  The interior forms are symmetrized
     on scatter and the endpoint blocks are symmetric by construction.  The
-    banded Cholesky of K is the only definiteness check of the full K:
-    ``eigh`` and the subspace iteration factor the moment-constrained K.
+    banded Cholesky of K (LAPACK ``dpbtrf``) is the only definiteness
+    check of the full K: ``dsygvd``/``dsygvx`` and the subspace iteration
+    factor the moment-constrained K.
     """
     kband = (lam * assemble_weighted_gradient_form(mesh, profile, k)
              + params.mu * assemble_h2_form(mesh, k))
     for block in assemble_boundary_forms(k, lam, params, profile):
         kband[_ENDPOINT_BAND] += block[_ENDPOINT_ENTRIES]
     try:
-        sla.cholesky_banded(kband, lower=True, check_finite=False)
+        _lapack.cholesky_band(kband)
     except np.linalg.LinAlgError as exc:
         raise CoercivityError(
             f"operator matrix lost positive definiteness at lam={lam}, k={k}"
@@ -202,15 +203,15 @@ def _dense_pairs(pencil: PencilAssembly, bands: tuple,
 
     ``bands`` are the pencil's ``_constrained_bands``.  Returns (values,
     constrained vectors); ``_lift`` gives full DOF vectors.  This is the
-    one dense eigensolve of (Mw, K); it factors the constrained K and
-    raises CoercivityError if that fails.
+    one dense eigensolve of (Mw, K), by LAPACK ``dsygvd`` (all pairs) or
+    ``dsygvx`` (a subset); it factors the constrained K and raises
+    CoercivityError if that fails.
     """
     mw, kmat = map(dense, bands)
     dof = kmat.shape[0]
     subset = None if count is None else (max(0, dof - count), dof - 1)
     try:
-        vals, vecs = sla.eigh(mw, kmat, overwrite_a=True, overwrite_b=True,
-                              check_finite=False, subset_by_index=subset)
+        vals, vecs = _lapack.eigh(mw, kmat, subset, overwrite=True)
     except np.linalg.LinAlgError as exc:
         raise CoercivityError(
             f"moment-constrained operator matrix lost positive definiteness "
@@ -297,24 +298,24 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     """Ritz pairs of the reduced pencil from ``block`` by K^-1 Mw iteration.
 
     The block's first n + _GUARD_VECTORS columns start it.  Each iteration
-    solves K Y = Mw X with the banded Cholesky factor of the constrained K,
-    then takes the Rayleigh-Ritz pairs on span(Y) (largest first); K Y =
-    Mw X gives Y^T K Y and K x without a product with K, and Mw is
-    applied as the constrained band.  Returns (ritz values, vectors,
-    iterations) once branch n's relative residual is at most _BLOCK_RTOL,
-    or None after _BLOCK_MAX_ITERATIONS or when the block loses rank.
+    solves K Y = Mw X with the banded Cholesky factor of the constrained K
+    (``dpbtrf``, ``dpbtrs``), then takes the Rayleigh-Ritz pairs on span(Y)
+    (largest first, by ``dsygvd``); K Y = Mw X gives Y^T K Y and K x
+    without a product with K, and Mw is applied as the constrained band.
+    Returns (ritz values, vectors, iterations) once branch n's relative
+    residual is at most _BLOCK_RTOL, or None after _BLOCK_MAX_ITERATIONS
+    or when a factorization fails (say, the block lost rank).
     """
     if not np.isfinite(pencil.K_band[:, -4:]).all():
         return None  # g k^2 rho+ / lam overflowed to inf in the corner
     mw, kband = _constrained_bands(pencil)
     try:
-        factor = sla.cholesky_banded(kband, overwrite_ab=True, lower=True,
-                                     check_finite=False)
+        factor = _lapack.cholesky_band(kband, overwrite=True)
         mx = _band_apply(mw, block[:, :n + _GUARD_VECTORS])
         for iteration in range(1, _BLOCK_MAX_ITERATIONS + 1):
-            y = sla.cho_solve_banded((factor, True), mx, check_finite=False)
+            y = _lapack.solve_band(factor, mx)
             my = _band_apply(mw, y)
-            theta, z = sla.eigh(y.T @ my, y.T @ mx, check_finite=False)
+            theta, z = _lapack.eigh(y.T @ my, y.T @ mx)
             theta, z = theta[::-1], z[:, ::-1]
             kx = theta[n - 1] * (mx @ z[:, n - 1])
             x, mx = y @ z, my @ z

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import _lapack
 from .discretization import (
     ENDPOINT_DOFS,
     Mesh,
@@ -72,27 +72,28 @@ class CheckReport:
 def boundary_quotient_spectrum(mesh: Mesh, k: float) -> np.ndarray:
     """Nonzero stationary values of the endpoint quotient, sorted decreasing.
 
-    These are the eigenvalues of the rank-4 pencil BDRYQ x = beta H2 x; at
-    most four exceed 1e-10 in magnitude.  Closed forms exist: 1 (twice)
-    and two negative values determined by sinh(ka) and ka.
+    These are the eigenvalues of the rank-4 pencil BDRYQ x = beta H2 x
+    (LAPACK ``dsygvd``, values only); at most four exceed 1e-10 in
+    magnitude.  Closed forms exist: 1 (twice) and two negative values
+    determined by sinh(ka) and ka.
     """
     q = np.zeros((mesh.dof_count, mesh.dof_count))
     q[np.ix_(ENDPOINT_DOFS, ENDPOINT_DOFS)] = boundary_quotient_form(k)
-    vals = sla.eigh(q, dense(assemble_h2_form(mesh, k)), eigvals_only=True)
+    vals = _lapack.eigh(q, dense(assemble_h2_form(mesh, k)), vectors=False)
     vals = vals[np.abs(vals) > 1e-10]
     return np.sort(vals)[::-1]
 
 
 def coercivity_ratio(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                      k: float, lam: float) -> float:
-    """Smallest eigenvalue of (K/mu) x = r H2 x.
+    """Smallest eigenvalue of (K/mu) x = r H2 x (LAPACK ``dsygvx``).
 
     Bounded below by 2(sinh(ka) - ka)/(3 sinh(ka) - ka) uniformly in the
     rate and in the stratification shape.
     """
     kmat = dense(assemble_B(mesh, profile, params, k, lam).K_band)
-    vals = sla.eigh(kmat / params.mu, dense(assemble_h2_form(mesh, k)),
-                    eigvals_only=True, subset_by_index=(0, 0))
+    vals = _lapack.eigh(kmat / params.mu, dense(assemble_h2_form(mesh, k)),
+                        (0, 0), vectors=False)
     return float(vals[0])
 
 

@@ -290,15 +290,15 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
 
 
 def test_cli_import_loads_only_scipy_linalg():
-    # a new scipy subpackage adds to every command's start-up time
+    # only scipy's compiled LAPACK module: importing the scipy or
+    # scipy.linalg package adds most of a command's start-up time
     src = os.path.dirname(os.path.dirname(rt.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, rtspec.cli; print(sorted({m.split('.')[1] for m "
-             "in sys.modules if m.startswith('scipy.') "
-             "and not m.split('.')[1].startswith('_')}))")
+    probe = ("import sys, rtspec.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "['linalg', 'version']"
+    assert out.strip() == "['scipy.linalg._flapack']"
 
 
 def test_growth_cap_and_sweep_leave_scipy_optimize_unloaded():

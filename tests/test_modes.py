@@ -375,6 +375,30 @@ def test_surface_series_rejects_repeated_and_opposite_wavevectors(terms):
         rt.SurfaceSeries(L1=1.0, L2=1.0, terms=terms)
 
 
+@pytest.mark.parametrize("L1, L2, k_vec", [
+    (1.0, 1.0, (0.3, 0.0)),
+    (3.0, 0.5, (1.0 / 3.0, 1.0)),
+    (1.0, 1.0, (1.0, 2.0 + 1e-9)),
+])
+def test_surface_series_rejects_wavevectors_off_the_lattice(L1, L2, k_vec):
+    # off (Z/L1) x (Z/L2) the field is not periodic and the norms fail:
+    # surface_l2 of (0.3, 0) on the unit torus read 19.74, not 16.67
+    with pytest.raises(ValueError, match="off the torus lattice"):
+        rt.SurfaceSeries(L1=L1, L2=L2, terms=((k_vec, 1.0),))
+
+
+def test_surface_series_accepts_lattice_wavevectors():
+    # k . L integral to rounding: the norm is the mean square over the
+    # cell, which a uniform periodic grid sums exactly
+    terms = (((1.0 / 3.0, 2.0), 0.6 + 0.2j), ((2.0 / 3.0, -4.0), 0.3))
+    series = rt.SurfaceSeries(L1=3.0, L2=0.5, terms=terms)
+    x1, x2 = np.meshgrid(np.arange(16) * (2.0 * math.pi * 3.0 / 16),
+                         np.arange(16) * (2.0 * math.pi * 0.5 / 16))
+    cell = 4.0 * math.pi**2 * 3.0 * 0.5
+    assert rt.surface_l2(series) == pytest.approx(
+        cell * np.mean(series.eval(x1, x2) ** 2), rel=1e-13)
+
+
 def test_poisson_gradient_identity():
     # closed-form oracle: gradient mass equals |k| times the surface mass
     for k_vec, amp in (((1.0, 0.0), 0.9), ((2.0, 1.0), 0.4 + 0.3j)):
