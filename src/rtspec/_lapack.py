@@ -61,9 +61,9 @@ def _checked(routine, *args, **kwargs):
     return outputs
 
 
-def cholesky_band(band: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def cholesky_band(band: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the SPD matrix of lower band ``band``."""
-    return _checked(dpbtrf, band, lower=1, overwrite_ab=overwrite)[0]
+    return _checked(dpbtrf, band, lower=1)[0]
 
 
 def solve_band(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -287,7 +287,8 @@ class HermiteFunction:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        if np.any(x < -mesh.a - 1e-12) or np.any(x > 1e-12):
+        slack = 1e-12 * mesh.a
+        if np.any(x < -mesh.a - slack) or np.any(x > slack):
             raise ValueError("evaluation point outside [-a, 0]")
         elem = np.clip(((x + mesh.a) / mesh.h).astype(int), 0,
                        mesh.n_elements - 1)

@@ -313,8 +313,8 @@ def refinement_agreement(mesh: Mesh, profile: DensityProfile,
 def lattice_magnitudes(L1: float, L2: float, Kmax: float) -> np.ndarray:
     """Distinct nonzero magnitudes of the lattice (i/L1, j/L2), |k| <= Kmax.
 
-    Magnitudes equal to 12 decimals count as one; the first one found is
-    kept exactly as ``math.hypot`` gives it.
+    Magnitudes equal to 12 significant digits count as one, at any scale;
+    the first one found is kept exactly as ``math.hypot`` gives it.
     """
     if not 0.0 < Kmax < math.inf:
         raise ConfigError("lattice.Kmax must be strictly positive and finite")
@@ -331,7 +331,7 @@ def lattice_magnitudes(L1: float, L2: float, Kmax: float) -> np.ndarray:
                 continue
             m = math.hypot(i / L1, j / L2)
             if m <= Kmax * (1.0 + 1e-12):
-                mags.setdefault(round(m, 12), m)
+                mags.setdefault(f"{m:.11e}", m)
     if not mags:
         raise ConfigError(
             f"no lattice wavenumbers with magnitude <= Kmax={Kmax}")

@@ -29,6 +29,7 @@ lower bands; only the dense eigensolve builds N x N matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,14 @@ class PencilAssembly:
         """
         h, k = self.mesh.h, self.k
         return np.array([-1.5 / h, -0.5, 1.5 / h - 0.25 * k * k * h])
+
+    @cached_property
+    def constrained_bands(self) -> tuple:
+        """Lower bands of the moment-constrained (Mw, K), built once: the
+        dense solve and the warm step of one pencil both read them, and
+        neither overwrites them."""
+        row = self.moment_row
+        return _constrained(self.Mw_band, row), _constrained(self.K_band, row)
 
 
 @dataclass(frozen=True)
@@ -190,24 +199,16 @@ def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _constrained_bands(pencil: PencilAssembly) -> tuple:
-    """Lower bands of the moment-constrained (Mw, K)."""
-    row = pencil.moment_row
-    return _constrained(pencil.Mw_band, row), _constrained(pencil.K_band, row)
-
-
-def _dense_pairs(pencil: PencilAssembly, bands: tuple,
-                 count: int | None = None):
+def _dense_pairs(pencil: PencilAssembly, count: int | None = None):
     """Leading ``count`` eigenpairs (all without it) of the pencil on the
     moment-constrained trial space, by decreasing eigenvalue.
 
-    ``bands`` are the pencil's ``_constrained_bands``.  Returns (values,
-    constrained vectors); ``_lift`` gives full DOF vectors.  This is the
-    one dense eigensolve of (Mw, K), by LAPACK ``dsygvd`` (all pairs) or
-    ``dsygvx`` (a subset); it factors the constrained K and raises
-    CoercivityError if that fails.
+    Returns (values, constrained vectors); ``_lift`` gives full DOF
+    vectors.  This is the one dense eigensolve of (Mw, K), by LAPACK
+    ``dsygvd`` (all pairs) or ``dsygvx`` (a subset); it factors the
+    constrained K and raises CoercivityError if that fails.
     """
-    mw, kmat = map(dense, bands)
+    mw, kmat = map(dense, pencil.constrained_bands)
     dof = kmat.shape[0]
     subset = None if count is None else (max(0, dof - count), dof - 1)
     try:
@@ -233,11 +234,10 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    bands = _constrained_bands(pencil)
-    vals, vecs = _dense_pairs(pencil, bands)
+    vals, vecs = _dense_pairs(pencil)
     count = min(n_max, _positive_count(vals))
     gammas, x = vals[:count].copy(), vecs[:, :count]
-    mx, kx = (_band_apply(band, x) for band in bands)
+    mx, kx = (_band_apply(band, x) for band in pencil.constrained_bands)
     scale = np.maximum(np.linalg.norm(mx, axis=0),
                        gammas * np.linalg.norm(kx, axis=0))
     max_residual = float((np.linalg.norm(mx - kx * gammas, axis=0)
@@ -252,7 +252,7 @@ def gamma_values(pencil: PencilAssembly, n_max: int) -> np.ndarray:
     They carry eps * cond(K) relative noise; ``branch_evaluation`` is the
     accurate evaluation.
     """
-    vals = _dense_pairs(pencil, _constrained_bands(pencil), n_max)[0]
+    vals = _dense_pairs(pencil, n_max)[0]
     return vals[:_positive_count(vals)]
 
 
@@ -308,9 +308,9 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     """
     if not np.isfinite(pencil.K_band[:, -4:]).all():
         return None  # g k^2 rho+ / lam overflowed to inf in the corner
-    mw, kband = _constrained_bands(pencil)
+    mw, kband = pencil.constrained_bands
     try:
-        factor = _lapack.cholesky_band(kband, overwrite=True)
+        factor = _lapack.cholesky_band(kband)
         mx = _band_apply(mw, block[:, :n + _GUARD_VECTORS])
         for iteration in range(1, _BLOCK_MAX_ITERATIONS + 1):
             y = _lapack.solve_band(factor, mx)
@@ -356,8 +356,7 @@ def branch_evaluation(pencil: PencilAssembly, n: int,
         if found is not None:
             return _evaluation(pencil, n, *found)
     count = n if block is None else n + _GUARD_VECTORS
-    return _evaluation(pencil, n, *_dense_pairs(
-        pencil, _constrained_bands(pencil), count))
+    return _evaluation(pencil, n, *_dense_pairs(pencil, count))
 
 
 def dense_branches(pencil: PencilAssembly, n: int) -> list[BranchEvaluation]:
@@ -369,6 +368,6 @@ def dense_branches(pencil: PencilAssembly, n: int) -> list[BranchEvaluation]:
     shares one lower bracket end among n branches starts each branch
     exactly where a single solve would.
     """
-    vals, vecs = _dense_pairs(pencil, _constrained_bands(pencil))
+    vals, vecs = _dense_pairs(pencil)
     return [_evaluation(pencil, m, vals, vecs)
             for m in range(1, min(n, _positive_count(vals)) + 1)]

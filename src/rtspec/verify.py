@@ -5,11 +5,19 @@ Each check returns a CheckReport with a scalar residual and a tolerance;
 pass means residual <= tolerance.  Interior integrals are quadrature sums
 over the layer; tail integrals below the layer are closed forms in its C1
 matching data, so every check covers the half line.
+
+The energy, inequality and convergence suites read branch-1 growth
+records and normal modes at k = 1 (and at the lattice magnitudes).
+``run_suite`` gives its suites one table of them, keyed by (mesh, k), and
+drops it when it returns: ``verify --suite all`` solves each record and
+builds each mode once, taking inequality's 64-element records from
+``lambda_max``.  A suite called alone solves its own.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -339,14 +347,40 @@ def _unsolved_report(suite: str, record: GrowthRecord, profile: DensityProfile,
                             math.inf, tolerance)
 
 
+class _Branch1:
+    """Branch-1 growth records and their modes by (mesh, k), each solved
+    and built once."""
+
+    def __init__(self, profile: DensityProfile, params: PhysicalParams,
+                 settings: SolverSettings):
+        self.profile, self.params, self.settings = profile, params, settings
+        self.records, self.modes = {}, {}
+
+    def solve(self, mesh: Mesh,
+              k: float) -> tuple[GrowthRecord, NormalMode | None]:
+        """The record at (mesh, k) and its mode, None unless it converged."""
+        key = (mesh, k)
+        if key not in self.records:
+            self.records[key] = solve_lambda_n(mesh, self.profile, self.params,
+                                               k, 1, self.settings)
+        rec = self.records[key]
+        if rec.converged and key not in self.modes:
+            self.modes[key] = build_normal_mode(
+                mesh, self.profile, self.params, (k, 0.0), 1, self.settings,
+                record=rec)
+        return rec, self.modes.get(key)
+
+
+# The table of the run_suite call in progress; None outside one.
+_SHARED: ContextVar[_Branch1 | None] = ContextVar("_SHARED", default=None)
+
+
 def energy_suite(profile: DensityProfile, params: PhysicalParams,
                  settings: SolverSettings = SolverSettings()) -> list[CheckReport]:
-    mesh = build_mesh(profile.a, 128)
-    rec = solve_lambda_n(mesh, profile, params, SUITE_K, 1, settings)
-    if not rec.converged:
+    solved = _SHARED.get() or _Branch1(profile, params, settings)
+    rec, mode = solved.solve(build_mesh(profile.a, 128), SUITE_K)
+    if mode is None:
         return [_unsolved_report("energy", rec, profile, params, ENERGY_RTOL)]
-    mode = build_normal_mode(mesh, profile, params, (SUITE_K, 0.0), 1,
-                             settings, record=rec)
     return [energy_identity_residual(mode)]
 
 
@@ -362,6 +396,8 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
     """
     mesh = build_mesh(profile.a, n_elements)
     result = lambda_max(mesh, profile, params, Kmax, settings)
+    solved = _SHARED.get() or _Branch1(profile, params, settings)
+    solved.records.update(((mesh, r.k), r) for r in result.records)
     if not result.any_unstable:
         failed = next((r for r in result.records
                        if r.reason != NO_UNSTABLE_BRANCH), result.records[0])
@@ -382,8 +418,7 @@ def inequality_suite(profile: DensityProfile, params: PhysicalParams,
                                         INEQUALITY_SLACK, trials=n_trials,
                                         seed=seed, Lambda=result.Lambda))
     # tightness at the argmax: the extremal mode nearly saturates the bound
-    mode = build_normal_mode(mesh, profile, params, (result.argmax_k, 0.0), 1,
-                             settings, record=result.argmax_record)
+    mode = solved.solve(mesh, result.argmax_k)[1]
     rep = check_variational_inequality(result.Lambda, mode.phi, profile,
                                        params)
     reports.append(CheckReport.make("inequality-tightness", -rep.residual,
@@ -411,14 +446,12 @@ def convergence_suite(profile: DensityProfile, params: PhysicalParams,
                       settings: SolverSettings = SolverSettings()) -> list[CheckReport]:
     """Self-convergence of the leading rate and decrease of the energy
     defect; each mode is built while its mesh's forms are cached."""
+    solved = _SHARED.get() or _Branch1(profile, params, settings)
     rates, residuals = {}, {}
     for n_el in (32, 64, 128):
-        mesh = build_mesh(profile.a, n_el)
-        rec = solve_lambda_n(mesh, profile, params, SUITE_K, 1, settings)
-        if not rec.converged:
+        rec, mode = solved.solve(build_mesh(profile.a, n_el), SUITE_K)
+        if mode is None:
             return [_unsolved_report("convergence", rec, profile, params, 1e-6)]
-        mode = build_normal_mode(mesh, profile, params, (SUITE_K, 0.0), 1,
-                                 settings, record=rec)
         rates[n_el] = rec.lambda_n
         residuals[n_el] = energy_identity_residual(mode).residual
     rel = abs(rates[64] - rates[128]) / rates[128]
@@ -447,8 +480,11 @@ def run_suite(name: str, profile: DensityProfile, params: PhysicalParams,
         "convergence": lambda: convergence_suite(profile, params,
                                                  settings=settings),
     }
-    if name == "all":
-        return [rep for suite in suites.values() for rep in suite()]
-    if name not in suites:
+    if name not in SUITES:
         raise ConfigError(f"unknown verify suite {name!r}; choose from {SUITES}")
-    return suites[name]()
+    chosen = suites.values() if name == "all" else [suites[name]]
+    token = _SHARED.set(_Branch1(profile, params, settings))
+    try:
+        return [rep for suite in chosen for rep in suite()]
+    finally:
+        _SHARED.reset(token)

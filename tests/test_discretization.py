@@ -237,6 +237,18 @@ def test_hermite_function_evaluation(mesh64):
         f(0.0, 4)
 
 
+def test_hermite_function_domain_check_scales_with_the_layer():
+    # the slack outside [-a, 0] was an absolute 1e-12: on a layer 1e-15
+    # deep, a point 500 a above the surface was extrapolated to -3.2e10
+    mesh = rt.build_mesh(1e-15, 4)
+    f = rt.HermiteFunction(mesh, np.arange(mesh.dof_count, dtype=float))
+    for x in (5e-13, -mesh.a - 5e-13):
+        with pytest.raises(ValueError, match="outside"):
+            f(x)
+    assert f(0.0) == 8.0
+    assert f(1e-28) == pytest.approx(8.0, rel=1e-12)  # rounding above 0
+
+
 def test_interior_forms_positive_definite(profile, mesh64):
     for k in (0.5, 1.0, 2.0):
         np.linalg.cholesky(dense(assemble_h2_form(mesh64, k)))
@@ -347,8 +359,7 @@ def test_band_scatter_holds_the_dense_sum_bit_for_bit(n_elements):
 
 
 def test_peak_of_a_deep_layer_stays_on_the_layer():
-    # nodes[:-1] + h overshoots x = 0 by 1.1e-11 on this mesh, past the
-    # evaluation's 1e-12 slack
+    # nodes[:-1] + h overshoots x = 0 by 1.1e-11 on this mesh
     mesh = rt.build_mesh(243099.09876846595, 64)
     assert mesh.nodes[-2] + mesh.h > 1e-12
     coeffs = constant_vector(mesh)

@@ -217,6 +217,17 @@ def test_lattice_magnitudes_are_exact():
     assert math.hypot(1.0, 2.0) in rt.lattice_magnitudes(1.0, 1.0, 2.5)
 
 
+@pytest.mark.parametrize("alpha", [1e-13, 1e13])
+def test_lattice_magnitudes_do_not_depend_on_scale(alpha):
+    # magnitudes were merged when equal to 12 decimals, so every magnitude
+    # of a lattice below about 1e-12 collapsed into the first
+    for L1, L2, Kmax in ((1.0, 1.0, 3.0), (1.0, 1.0, 8.0), (1.0, 2.0, 8.0)):
+        unit = rt.lattice_magnitudes(L1, L2, Kmax)
+        scaled = rt.lattice_magnitudes(alpha * L1, alpha * L2, Kmax / alpha)
+        assert scaled.size == unit.size
+        np.testing.assert_allclose(scaled * alpha, unit, rtol=1e-14)
+
+
 def test_lattice_size_is_bounded():
     with pytest.raises(ConfigError, match="lattice points"):
         rt.lattice_magnitudes(1.0, 1.0, 1e7)

@@ -12,6 +12,7 @@ from rtspec.errors import ConfigError
 from rtspec.verify import (
     MONOTONE_GRID_FLOOR,
     MONOTONE_GRID_POINTS,
+    SUITES,
     CheckReport,
     _inequality_residuals,
     _random_trials,
@@ -461,6 +462,68 @@ def test_suites_reuse_solved_records(profile, params, monkeypatch):
     convergence_suite(profile, params, settings=loose)
     assert len(modes) == 4
     assert rebuilt == []
+
+
+# The default physics, and a weak, viscous jump (rho_plus = 1.1, mu = 20,
+# g = 0.04).
+_SUITE_PHYSICS = {
+    "defaults": (rt.DensityProfile(rho_minus=1.0, rho_plus=2.0, a=1.0,
+                                   kind="bump"),
+                 rt.PhysicalParams(mu=1.0, g=1.0, L1=1.0, L2=1.0)),
+    "weak-jump": (rt.DensityProfile(rho_minus=1.0, rho_plus=1.1, a=1.0,
+                                    kind="bump"),
+                  rt.PhysicalParams(mu=20.0, g=0.04, L1=1.0, L2=1.0)),
+}
+
+
+def _rows(reports):
+    return [(r.name, r.residual, r.tolerance, r.passed) for r in reports]
+
+
+@pytest.mark.parametrize("physics", sorted(_SUITE_PHYSICS))
+def test_run_suite_all_is_the_suites_alone(physics):
+    # the records and modes that "all" shares among its suites give the
+    # rows each suite gives alone, bit for bit
+    profile, params = _SUITE_PHYSICS[physics]
+    alone = [row for name in SUITES[:-1]
+             for row in _rows(run_suite(name, profile, params))]
+    assert _rows(run_suite("all", profile, params)) == alone
+    assert len(alone) == 20
+
+
+@pytest.mark.parametrize("name, solves, modes", [
+    ("all", 31, 3),  # 29 lattice records + (32, k=1) + (128, k=1)
+    ("appendixD", 0, 0),
+    ("energy", 1, 1),
+    ("inequality", 29, 1),
+    ("monotone", 0, 0),
+    ("convergence", 3, 3),
+])
+def test_run_suite_solves_each_record_and_builds_each_mode_once(
+        profile, params, monkeypatch, name, solves, modes):
+    # "all" reads energy's 128-element record and mode, and inequality's
+    # 64-element k = 1 record and tightness mode, in its convergence suite;
+    # a second call shares nothing with the first
+    import rtspec.growth_solver
+    import rtspec.modes
+
+    counts = {"solves": 0, "modes": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    solve = counted("solves", rt.solve_lambda_n)
+    build = counted("modes", rt.build_normal_mode)
+    for module in (rtspec.growth_solver, rtspec.modes, verify):
+        monkeypatch.setattr(module, "solve_lambda_n", solve)
+    for module in (rtspec.modes, verify):
+        monkeypatch.setattr(module, "build_normal_mode", build)
+    for calls in (1, 2):
+        run_suite(name, profile, params)
+        assert counts == {"solves": calls * solves, "modes": calls * modes}
 
 
 def _log_uniform(lo, hi):
