@@ -72,7 +72,7 @@ def solve_band(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def eigh(a: np.ndarray, b: np.ndarray, subset: tuple | None = None,
-         vectors: bool = True, overwrite: bool = False):
+         vectors: bool = True):
     """Eigenvalues (ascending) and B-orthonormal vectors of A x = w B x,
     A symmetric and B SPD, both read from their lower triangles.
 
@@ -82,13 +82,11 @@ def eigh(a: np.ndarray, b: np.ndarray, subset: tuple | None = None,
     """
     jobz = "V" if vectors else "N"
     if subset is None:
-        w, v = _checked(dsygvd, a, b, jobz=jobz, overwrite_a=overwrite,
-                        overwrite_b=overwrite)
+        w, v = _checked(dsygvd, a, b, jobz=jobz)
     else:
         n = a.shape[0]
         lwork = int(_checked(dsygvx_lwork, n, uplo="L")[0].real)
         w, v, m, _ = _checked(dsygvx, a, b, jobz=jobz, range="I",
-                              il=subset[0] + 1, iu=subset[1] + 1, lwork=lwork,
-                              overwrite_a=overwrite, overwrite_b=overwrite)
+                              il=subset[0] + 1, iu=subset[1] + 1, lwork=lwork)
         w, v = w[:m], v[:, :m]
     return (w, v) if vectors else w

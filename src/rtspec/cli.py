@@ -20,7 +20,8 @@ from ._threads import single_threaded_blas
 from .config import RunConfig, load_config
 from .equilibria import char_length
 from .errors import CoercivityError, ConfigError, NoUnstableBranchError, NumericalError
-from .growth_solver import NO_UNSTABLE_BRANCH, GrowthRecord, dispersion, lambda_max
+from .growth_solver import (NO_UNSTABLE_BRANCH, GrowthRecord, dispersion, lambda_max,
+                            lattice_index)
 from .modes import MODE_COLUMNS, build_normal_mode, mode_table
 from .verify import SUITES, run_suite
 
@@ -116,15 +117,12 @@ def cmd_mode(config: RunConfig, args) -> int:
         steps = value * period
         if not math.isfinite(steps):
             raise ConfigError(f"{label} * lattice.L{label[1]} = {steps} is not finite")
-        # a nonzero value is never lattice point 0, however close to it
-        snapped = round(steps)
-        if snapped == 0 and value != 0.0:
-            snapped = int(math.copysign(1.0, steps))
-        if abs(steps - snapped) > 1e-9 * max(1.0, abs(steps)):
+        index, on_lattice = lattice_index(value, period)
+        if not on_lattice:
             raise ConfigError(
-                f"{label}={value:g} is off the lattice (spacing "
+                f"{label}={value!r} is off the lattice (spacing "
                 f"{1.0 / period:g}); nearest lattice value is "
-                f"{snapped / period:g}")
+                f"{index / period:g}")
     mesh, profile, params = config.mesh(), config.profile(), config.params()
     if not math.hypot(args.k1, args.k2) * mesh.a <= MAX_KA:
         raise ConfigError(f"require |k| <= {MAX_KA:g} / profile.a")

@@ -115,12 +115,6 @@ class LambdaMaxResult:
     def any_unstable(self) -> bool:
         return any(r.converged for r in self.records)
 
-    @property
-    def argmax_record(self) -> GrowthRecord | None:
-        """The converged record whose rate is Lambda, or None."""
-        return next((r for r in self.records
-                     if r.converged and r.k == self.argmax_k), None)
-
 
 def _no_branch(k: float, n: int, reason: str = NO_UNSTABLE_BRANCH) -> GrowthRecord:
     return GrowthRecord(k=k, n=n, lambda_n=math.nan, residual=math.nan,
@@ -308,6 +302,14 @@ def refinement_agreement(mesh: Mesh, profile: DensityProfile,
     if not refined.converged:
         return math.nan
     return abs(refined.lambda_n - record.lambda_n) / refined.lambda_n
+
+
+def lattice_index(value: float, period: float) -> tuple[int, bool]:
+    """Nearest i to a finite value * period (never 0 for a nonzero value),
+    and whether value is i / period to 1e-12 relative (absolute below 1)."""
+    steps = value * period
+    index = round(steps) or (int(math.copysign(1.0, steps)) if value else 0)
+    return index, abs(steps - index) <= 1e-12 * max(1.0, abs(steps))
 
 
 def lattice_magnitudes(L1: float, L2: float, Kmax: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from .discretization import HermiteFunction, Mesh, tau_decay
 from .equilibria import DensityProfile, PhysicalParams
 from .errors import ConfigError, NoUnstableBranchError, NumericalError
 from .growth_solver import (NO_UNSTABLE_BRANCH, GrowthRecord, SolverSettings,
-                            solve_lambda_n)
+                            lattice_index, solve_lambda_n)
 from .spectral_core import assemble_B, gamma_spectrum
 
 DEFAULT_DOMAIN_FACTOR = 10.0
@@ -241,9 +241,8 @@ class SurfaceSeries:
     ``terms`` maps lattice wavevectors (k1, k2) to complex amplitudes; the
     represented field is Re sum c exp(i k . x_h).  The mean mode (0, 0) is
     excluded by the zero-average convention.  Each wavevector must lie on
-    the torus lattice (Z/L1) x (Z/L2), to the 1e-12 relative tolerance of
-    ``lattice_magnitudes``: off it the field is not periodic and the norms
-    do not hold.
+    the torus lattice (Z/L1) x (Z/L2), as ``lattice_index`` decides: off
+    it the field is not periodic and the norms do not hold.
     """
 
     L1: float
@@ -256,8 +255,8 @@ class SurfaceSeries:
             if k1 == 0.0 and k2 == 0.0:
                 raise ValueError("surface series must have zero average "
                                  "(mode (0,0) excluded)")
-            if not all(abs(m - round(m)) <= 1e-12 * max(1.0, abs(m))
-                       for m in (k1 * self.L1, k2 * self.L2)):
+            if not (lattice_index(k1, self.L1)[1]
+                    and lattice_index(k2, self.L2)[1]):
                 raise ValueError(f"wavevector ({k1}, {k2}) is off the torus "
                                  f"lattice (Z/{self.L1}) x (Z/{self.L2})")
             if (k1, k2) in seen or (-k1, -k2) in seen:

@@ -12,7 +12,8 @@ The eigensolves run in the trial space of C1 functions that satisfy the
 surface moment condition phi''(0) + k^2 phi(0) = 0 exactly: the surface
 slope DOF is eliminated by ``PencilAssembly.moment_row``, so the reduced
 pencil is the leading block of (WMASS, K) with its last 3x3 corner
-updated.  Returned eigenvectors are lifted back to the full DOF vector.
+updated; ``assemble_B`` factors K on it once per pencil.  Returned
+eigenvectors are lifted back to the full DOF vector.
 
 Every dense eigensolve of the pencil runs through ``_dense_pairs``.
 ``gamma_values`` and ``gamma_spectrum`` return the eigenvalues of the
@@ -110,6 +111,11 @@ class PencilAssembly:
         row = self.moment_row
         return _constrained(self.Mw_band, row), _constrained(self.K_band, row)
 
+    @cached_property
+    def k_factor(self) -> np.ndarray:
+        """Banded Cholesky factor of the constrained K (``dpbtrf``)."""
+        return _lapack.cholesky_band(self.constrained_bands[1])
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -158,22 +164,20 @@ def assemble_B(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     K is ``lam * WGRAD + mu * H2`` plus the endpoint blocks BV0 and then
     BVA, added at ``ENDPOINT_DOFS``.  The interior forms are symmetrized
     on scatter and the endpoint blocks are symmetric by construction.  The
-    banded Cholesky of K (LAPACK ``dpbtrf``) is the only definiteness
-    check of the full K: ``dsygvd``/``dsygvx`` and the subspace iteration
-    factor the moment-constrained K.
+    check is ``k_factor``: K factored on the moment-constrained trial space.
     """
     kband = (lam * assemble_weighted_gradient_form(mesh, profile, k)
              + params.mu * assemble_h2_form(mesh, k))
     for block in assemble_boundary_forms(k, lam, params, profile):
         kband[_ENDPOINT_BAND] += block[_ENDPOINT_ENTRIES]
+    pencil = PencilAssembly(K_band=kband, Mw_band=layer_forms(mesh, profile)[3],
+                            lam=lam, k=k, params=params, mesh=mesh, profile=profile)
     try:
-        _lapack.cholesky_band(kband)
+        pencil.k_factor
     except np.linalg.LinAlgError as exc:
-        raise CoercivityError(
-            f"operator matrix lost positive definiteness at lam={lam}, k={k}"
-        ) from exc
-    return PencilAssembly(K_band=kband, Mw_band=layer_forms(mesh, profile)[3],
-                          lam=lam, k=k, params=params, mesh=mesh, profile=profile)
+        raise CoercivityError("moment-constrained operator matrix lost positive "
+                              f"definiteness at lam={lam}, k={k}") from exc
+    return pencil
 
 
 def _constrained(band: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -212,7 +216,7 @@ def _dense_pairs(pencil: PencilAssembly, count: int | None = None):
     dof = kmat.shape[0]
     subset = None if count is None else (max(0, dof - count), dof - 1)
     try:
-        vals, vecs = _lapack.eigh(mw, kmat, subset, overwrite=True)
+        vals, vecs = _lapack.eigh(mw, kmat, subset)
     except np.linalg.LinAlgError as exc:
         raise CoercivityError(
             f"moment-constrained operator matrix lost positive definiteness "
@@ -298,19 +302,17 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     """Ritz pairs of the reduced pencil from ``block`` by K^-1 Mw iteration.
 
     The block's first n + _GUARD_VECTORS columns start it.  Each iteration
-    solves K Y = Mw X with the banded Cholesky factor of the constrained K
-    (``dpbtrf``, ``dpbtrs``), then takes the Rayleigh-Ritz pairs on span(Y)
-    (largest first, by ``dsygvd``); K Y = Mw X gives Y^T K Y and K x
-    without a product with K, and Mw is applied as the constrained band.
-    Returns (ritz values, vectors, iterations) once branch n's relative
-    residual is at most _BLOCK_RTOL, or None after _BLOCK_MAX_ITERATIONS
-    or when a factorization fails (say, the block lost rank).
+    solves K Y = Mw X by ``dpbtrs`` with the pencil's ``k_factor``, then
+    takes the Rayleigh-Ritz pairs on span(Y) (largest first, by ``dsygvd``);
+    K Y = Mw X gives Y^T K Y and K x without a product with K.  Returns
+    (ritz values, vectors, iterations) once branch n's relative residual
+    is at most _BLOCK_RTOL, or None after _BLOCK_MAX_ITERATIONS, when
+    ``dsygvd`` fails (say, the block lost rank) or when K overflowed.
     """
     if not np.isfinite(pencil.K_band[:, -4:]).all():
-        return None  # g k^2 rho+ / lam overflowed to inf in the corner
-    mw, kband = pencil.constrained_bands
+        return None  # g k^2 rho+ / lam overflowed; so would |Mw x|^2 below
+    mw, factor = pencil.constrained_bands[0], pencil.k_factor
     try:
-        factor = _lapack.cholesky_band(kband)
         mx = _band_apply(mw, block[:, :n + _GUARD_VECTORS])
         for iteration in range(1, _BLOCK_MAX_ITERATIONS + 1):
             y = _lapack.solve_band(factor, mx)

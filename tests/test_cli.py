@@ -262,6 +262,21 @@ def test_mode_off_lattice_suggestion(tmp_path, capsys):
     assert "nearest lattice value is 1" in err
 
 
+def test_mode_rejects_a_wavevector_just_off_the_lattice(tmp_path, capsys):
+    # 5e-10 off: outside the 1e-12 lattice tolerance SurfaceSeries uses too
+    out = tmp_path / "x.csv"
+    assert main(["mode", "--k1", "1.0000000005", "--k2", "0", "--n", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "k1=1.0000000005 is off the lattice" in err
+    assert "nearest lattice value is 1" in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="off the torus lattice"):
+        rt.SurfaceSeries(1.0, 1.0, (((1.0000000005, 0.0), 1.0),))
+    assert main(["mode", "--k1", "1.0000000000005", "--k2", "0", "--n", "1",
+                 "--out", str(out)]) == 0
+
+
 def test_verify_command_appendix(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code = main(["verify", "--suite", "appendixD", "--out", str(out)])

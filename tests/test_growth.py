@@ -228,6 +228,20 @@ def test_lattice_magnitudes_do_not_depend_on_scale(alpha):
         np.testing.assert_allclose(scaled * alpha, unit, rtol=1e-14)
 
 
+@pytest.mark.parametrize("value, period, expected", [
+    (1.0 + 5e-13, 1.0, (1, True)),
+    (1.0 + 5e-10, 1.0, (1, False)),
+    (3e12 + 2.0, 1.0, (3_000_000_000_002, True)),  # relative above 1
+    (2e-13, 1.0, (1, False)),  # a nonzero value is never point 0
+    (-2e-13, 1.0, (-1, False)),
+    (-0.0, 1.0, (0, True)),
+    (0.75, 4.0, (3, True)),
+    (0.5, 1.0, (1, False)),
+])
+def test_lattice_index(value, period, expected):
+    assert growth_solver.lattice_index(value, period) == expected
+
+
 def test_lattice_size_is_bounded():
     with pytest.raises(ConfigError, match="lattice points"):
         rt.lattice_magnitudes(1.0, 1.0, 1e7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rtspec as rt
-from rtspec import spectral_core
+from rtspec import _lapack, growth_solver, spectral_core
 from rtspec.discretization import (
     BANDWIDTH,
     ENDPOINT_DOFS,
@@ -300,6 +300,43 @@ def test_gamma_spectrum_constrains_each_band_once(profile, params, mesh64,
     monkeypatch.setattr(spectral_core, "_constrained", counted)
     rt.gamma_spectrum(rt.assemble_B(mesh64, profile, params, 1.0, 0.3), 3)
     assert len(calls) == 2
+
+
+def test_each_pencil_is_factored_once(profile, params, mesh64, monkeypatch):
+    # assemble_B factors the constrained K and the warm step reuses it
+    factored = []
+
+    def counted(band):
+        factored.append(band.shape)
+        return cholesky(band)
+    cholesky = _lapack.cholesky_band
+    monkeypatch.setattr(_lapack, "cholesky_band", counted)
+    k, lam = 1.0, 0.3
+    start = branch_evaluation(rt.assemble_B(mesh64, profile, params, k, lam), 2)
+    pencil = rt.assemble_B(mesh64, profile, params, k, 1.01 * lam)
+    assert factored == [(BANDWIDTH + 1, mesh64.dof_count - 1)] * 2
+    warm = branch_evaluation(pencil, 2, start.block)
+    assert not warm.dense and warm.iterations > 0
+    assert len(factored) == 2
+
+
+def test_sweep_factors_once_per_pencil(profile, params, mesh64, monkeypatch):
+    factored, assembled = [], []
+
+    def counted(calls, fn):
+        def wrapper(*args):
+            calls.append(None)
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(_lapack, "cholesky_band",
+                        counted(factored, _lapack.cholesky_band))
+    monkeypatch.setattr(growth_solver, "assemble_B",
+                        counted(assembled, growth_solver.assemble_B))
+    records = rt.dispersion(mesh64, profile, params,
+                            np.geomspace(0.25, 4.0, 20), 4)
+    assert all(r.converged for r in records)
+    # one factorization per pencil: every warm step reuses assemble_B's
+    assert len(factored) == len(assembled) == 396
 
 
 def _trial_map(n, row):
