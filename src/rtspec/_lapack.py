@@ -1,4 +1,4 @@
-"""The five LAPACK routines rtspec calls, bound from scipy's compiled wrappers.
+"""The seven LAPACK routines rtspec calls, bound from scipy's compiled wrappers.
 
 ``scipy.linalg._flapack`` is the f2py module whose routines
 ``scipy.linalg.lapack`` re-exports; it checks and converts its arguments,
@@ -12,8 +12,9 @@ routine objects.
 
 Each helper calls the driver and arguments ``scipy.linalg`` picks for the
 same request, so results are bit for bit those of ``cholesky_banded``,
-``cho_solve_banded`` and ``eigh``, and raises ``numpy.linalg.LinAlgError``
-on any nonzero ``info``.
+``cho_solve_banded``, ``eigh`` and ``ldl``, and raises
+``numpy.linalg.LinAlgError`` on any nonzero ``info`` (``ldl`` only on a
+negative one, as scipy does).
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ dpbtrs = _module.dpbtrs
 dsygvd = _module.dsygvd
 dsygvx = _module.dsygvx
 dsygvx_lwork = _module.dsygvx_lwork
+dsytrf = _module.dsytrf
+dsytrf_lwork = _module.dsytrf_lwork
 
 
 def _checked(routine, *args, **kwargs):
@@ -69,6 +72,19 @@ def cholesky_band(band: np.ndarray) -> np.ndarray:
 def solve_band(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """A^-1 rhs (rhs 2-D) from ``cholesky_band``'s factor of A."""
     return _checked(dpbtrs, factor, rhs, lower=1)[0]
+
+
+def ldl(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bunch-Kaufman factor of the symmetric ``a``, read from its lower
+    triangle (``dsytrf``): (ldu, ipiv) in LAPACK's packing, D on the
+    diagonal of ldu where ipiv > 0 and 2x2 blocks where a pair of ipiv is
+    negative.  An exactly singular D (info > 0) is a result, not an error.
+    """
+    lwork = int(_checked(dsytrf_lwork, a.shape[0], lower=1)[0])
+    ldu, ipiv, info = dsytrf(a, lower=1, lwork=lwork)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsytrf: info={info}")
+    return ldu, ipiv
 
 
 def eigh(a: np.ndarray, b: np.ndarray, subset: tuple | None = None,

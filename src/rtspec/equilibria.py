@@ -124,12 +124,19 @@ class DensityProfile:
 
         The ratio is smooth with one maximum, so the maximizer lies within
         one spacing of the best sample; 1,223 profile evaluations in all.
+        A sample that overflows (a density jump near the largest double)
+        is a ConfigError.
         """
         h = self.a / _PEAK_CELLS
         x = np.linspace(-self.a, 0.0, _PEAK_CELLS + 1)
         peak = -math.inf
         for _ in range(_PEAK_ZOOMS + 1):
-            ratio = self.drho0(x) / self.rho0(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio = self.drho0(x) / self.rho0(x)
+            if not np.isfinite(ratio).all():
+                raise ConfigError(
+                    f"drho0 / rho0 overflows: profile.rho_plus={self.rho_plus!r}"
+                    f" is too large for profile.a={self.a!r}")
             i = int(np.argmax(ratio))
             if ratio[i] > peak:
                 peak, best = float(ratio[i]), x[i]

@@ -9,7 +9,8 @@ found by Newton's method safeguarded by a bracket with f > 0 at one end and
 f < 0 at the other, so it is safe even where f itself is not monotone.
 Every step evaluates f and f' from ``branch_evaluation``: Rayleigh
 quotients free of eigensolver noise, from vectors warm-started at the
-previous step's.  A dense eigensolve at the returned rate certifies it.
+previous step's.  Two inertia counts at the returned rate certify that it
+is branch n's, and one more warm evaluation there gives its residual.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from .equilibria import DensityProfile, PhysicalParams, char_length
 from .errors import ConfigError, NumericalError
 from .spectral_core import (
     BranchEvaluation,
+    PencilAssembly,
     assemble_B,
     branch_evaluation,
     dense_branches,
     gamma_values,
+    inertia_count,
 )
 
 NO_UNSTABLE_BRANCH = "no-unstable-branch"
@@ -45,6 +48,10 @@ MIN_GROWTH_CAP = math.sqrt(np.finfo(float).tiny) / BRACKET_FLOOR
 
 # A converged record must reproduce its own fixed point to this relative level.
 FIXED_POINT_RTOL = 1e-8
+
+# The certificate counts the eigenvalues above sigma * (1 -/+ COUNT_SHIFT),
+# where sigma = lambda_n / (g k^2) is branch n's gamma at its own rate.
+COUNT_SHIFT = 1e-6
 
 # lattice_magnitudes refuses to enumerate more (i, j) points than this.
 MAX_LATTICE_POINTS = 1_000_000
@@ -68,15 +75,18 @@ class SolveStats:
 
     Counts are of this solve's own eigen-evaluations: bracket ends a sweep
     solved once per k are not included.  ``dense_solves`` counts dense
-    eigensolves (ends solved here, fallbacks of warm evaluations and the
-    certificate at the returned rate), ``block_evaluations`` the warm
-    evaluations and ``block_iterations`` their subspace iterations.
-    ``residual_rel`` is the certificate's |f| / lambda.
+    eigensolves (ends solved here, fallbacks of warm evaluations, and the
+    certificate where the inertia counts do not bracket n),
+    ``block_evaluations`` the warm evaluations (the certificate's included)
+    and ``block_iterations`` their subspace iterations.  ``inertia_counts``
+    counts ``inertia_count`` calls, two per certificate.  ``residual_rel``
+    is the certificate's |f| / lambda.
     """
 
     dense_solves: int
     block_evaluations: int
     block_iterations: int
+    inertia_counts: int
     start_bracket: tuple[float, float]
     final_bracket: tuple[float, float]
     residual_rel: float
@@ -87,9 +97,10 @@ class GrowthRecord:
     """One (wavenumber, branch) growth-rate solve.
 
     ``residual`` is the absolute fixed-point defect |g k^2 gamma_n - lam_n|
-    recomputed at the returned rate by a dense eigensolve; records without
-    a branch carry NaN and a reason string.  ``stats`` (not compared)
-    tells how a solved record was found.
+    recomputed at the returned rate: by a warm evaluation where two
+    inertia counts there show that the rate is branch n's, else by a dense
+    eigensolve.  Records without a branch carry NaN and a reason string.
+    ``stats`` (not compared) tells how a solved record was found.
     """
 
     k: float
@@ -147,8 +158,15 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     when Newton leaves the bracket or f' >= 0, and steps a quarter
     tolerance past a root predicted within half a tolerance, so that one
     evaluation closes the bracket.  An exact root, or else the secant root
-    of the final bracket, is returned with the residual of a dense solve
-    there; ``iterations`` counts the steps after the two end evaluations.
+    of the final bracket, is returned; ``iterations`` counts the steps
+    after the two end evaluations.
+
+    The returned rate is certified on its own pencil.  Where the number of
+    eigenvalues gamma > sigma (sigma = rate / (g k^2), branch n's gamma at
+    its root) is at least n at sigma * (1 - COUNT_SHIFT) and exactly n - 1
+    at sigma * (1 + COUNT_SHIFT), the rate is branch n's, and a warm
+    evaluation from the last step's block gives the residual |f(rate)|.
+    Otherwise a dense subset eigensolve gives it.
 
     ``ends`` holds ``_bracket_ends`` for at least n branches; a sweep
     passes them to solve each end once per wavenumber.  Without it the
@@ -169,11 +187,14 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     gk2 = params.g * k * k
     dense_solves = block_evaluations = block_iterations = 0
 
-    def evaluate(lam: float, block: np.ndarray | None = None):
-        """(f, f', block) at lam, or None when branch n is absent there."""
+    def evaluate(lam: float, block: np.ndarray | None = None,
+                 pencil: PencilAssembly | None = None):
+        """(f, f', block) at lam, from its pencil (assembled here unless
+        given), or None when branch n is absent there."""
         nonlocal dense_solves, block_evaluations, block_iterations
-        ev = branch_evaluation(assemble_B(mesh, profile, params, k, lam),
-                               n, block)
+        if pencil is None:
+            pencil = assemble_B(mesh, profile, params, k, lam)
+        ev = branch_evaluation(pencil, n, block)
         if ev is None:
             return None
         block_evaluations += block is not None
@@ -234,7 +255,14 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     # The secant root of a closed bracket is exact to its width squared.
     rate = lo if lo == hi else lo + f_lo * (hi - lo) / (f_lo - f_hi)
     interval_ok = hi - lo <= settings.tol_rel * hi
-    certificate = evaluate(rate)
+    pencil = assemble_B(mesh, profile, params, k, rate)
+    sigma = rate / gk2
+    above = [inertia_count(pencil, sigma * (1.0 + shift))
+             for shift in (-COUNT_SHIFT, COUNT_SHIFT)]
+    # Counts that bracket n put gamma_n within COUNT_SHIFT of sigma: the
+    # rate is branch n's root, and no dense solve need say which branch.
+    counted = above[0] >= n and above[1] == n - 1
+    certificate = evaluate(rate, block if counted else None, pencil)
     if certificate is None:
         return _no_branch(k, n)
     residual = abs(certificate[0])
@@ -248,6 +276,7 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     stats = SolveStats(dense_solves=dense_solves,
                        block_evaluations=block_evaluations,
                        block_iterations=block_iterations,
+                       inertia_counts=len(above),
                        start_bracket=(BRACKET_FLOOR * cap, cap),
                        final_bracket=(lo, hi), residual_rel=residual / rate)
     return GrowthRecord(k=k, n=n, lambda_n=rate, residual=residual,

@@ -23,8 +23,10 @@ eigenvector with both quadratic forms summed as squares at the quadrature
 points, which is free of that noise, and its rate derivative.  The forms
 are those of the mesh, profile and parameters the pencil carries, found
 through the memoized functions of ``discretization``, which every pencil
-of one mesh and profile shares.  Both forms, full and reduced, are
-lower bands; only the dense eigensolve builds N x N matrices.
+of one mesh and profile shares.  ``inertia_count`` counts the eigenvalues
+above a level from one LDL^T factorization, without an eigensolve.  Both
+forms, full and reduced, are lower bands; only the dense eigensolve and
+the count build N x N matrices.
 """
 
 from __future__ import annotations
@@ -258,6 +260,28 @@ def gamma_values(pencil: PencilAssembly, n_max: int) -> np.ndarray:
     """
     vals = _dense_pairs(pencil, n_max)[0]
     return vals[:_positive_count(vals)]
+
+
+def inertia_count(pencil: PencilAssembly, sigma: float) -> int:
+    """Number of eigenvalues gamma > sigma of the constrained pencil.
+
+    By Sylvester's law of inertia (K SPD) it is the number of positive
+    eigenvalues of Mw - sigma K, read from that matrix's Bunch-Kaufman
+    factor (``dsytrf``): a 1x1 pivot counts by its sign, and a 2x2 pivot,
+    always indefinite, counts one.  No eigenvector is computed.
+
+    The count is exact for a matrix within rounding of Mw - sigma K, so an
+    eigenvalue within about eps * cond(K) * sigma of sigma may land on
+    either side.  It means nothing at a sigma near the rounding floor of
+    WMASS's zero block (eigenvalues that are 0 in exact arithmetic, and
+    in floating point lie within about eps * |Mw| / lambda_min(K) of it):
+    there it counts noise as branches.
+    """
+    mw, kmat = pencil.constrained_bands
+    ldu, ipiv = _lapack.ldl(dense(mw - sigma * kmat))
+    one_by_one = ipiv > 0
+    return int(np.count_nonzero(ldu.diagonal()[one_by_one] > 0.0)
+               + np.count_nonzero(~one_by_one) // 2)
 
 
 def _rayleigh(pencil: PencilAssembly,

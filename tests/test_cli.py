@@ -491,6 +491,16 @@ _BAD_INPUTS = {
     "mode-domain-factor-overflows": (
         b"modes.domain_factor = 1e308\n",
         ["mode", "--k1", "1", "--k2", "0", "--out", "{tmp}/x.csv"]),
+    # drho0 / rho0 overflows, so the growth-rate cap cannot be found
+    "surface-density-overflows-dispersion": (
+        b"profile.rho_plus = 1e308\nmesh.n_elements = 8\n",
+        ["dispersion", "--k-min", "0.25", "--k-max", "4", "--n-k", "3",
+         "--out", "{tmp}/x.csv"]),
+    "surface-density-overflows-lambda-max": (
+        b"profile.rho_plus = 1e308\nmesh.n_elements = 8\n", ["lambda-max"]),
+    "surface-density-overflows-quintic": (
+        b"profile.rho_plus = 1e308\nprofile.kind = quintic\n"
+        b"mesh.n_elements = 8\n", ["lambda-max"]),
     # first arrays far beyond the address space: they fail at once
     "dispersion-mesh-too-large": (
         b"mesh.n_elements = 1000000000000000\n",

@@ -124,6 +124,9 @@ def _solve_synthetic(monkeypatch, mesh, profile, params, defect, slope):
     monkeypatch.setattr(growth_solver, "branch_evaluation", evaluation)
     monkeypatch.setattr(growth_solver, "dense_branches",
                         lambda *args: [evaluation(*args)])
+    # the one branch's gamma against sigma, as an inertia count reads it
+    monkeypatch.setattr(growth_solver, "inertia_count",
+                        lambda lam, sigma: int(lam + defect(lam) > sigma))
     return rt.solve_lambda_n(mesh, profile, params, 1.0, 1)
 
 
@@ -327,7 +330,8 @@ def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
             return solve(*args)
         return wrapper
 
-    for name in ("gamma_values", "dense_branches", "branch_evaluation"):
+    for name in ("gamma_values", "dense_branches", "branch_evaluation",
+                 "inertia_count"):
         monkeypatch.setattr(growth_solver, name, counted(name))
     k_values = np.geomspace(0.25, 4.0, 5)
     records = rt.dispersion(mesh64, profile, params, k_values, 4)
@@ -335,12 +339,15 @@ def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
     warm = [args for args in calls["branch_evaluation"] if args[2] is not None]
     dense = (len(calls["gamma_values"]) + len(calls["dense_branches"])
              + len(calls["branch_evaluation"]) - len(warm))
-    # two bracket ends per k, and one certificate per record
-    assert dense == 2 * len(k_values) + len(records)
-    assert len(warm) == sum(r.iterations for r in records)
+    # two bracket ends per k; each record's certificate is two counts and
+    # a warm evaluation
+    assert dense == 2 * len(k_values)
+    assert len(warm) == sum(r.iterations + 1 for r in records)
+    assert len(calls["inertia_count"]) == 2 * len(records)
     for rec in records:
-        assert rec.stats.dense_solves == 1
-        assert rec.stats.block_evaluations == rec.iterations
+        assert rec.stats.dense_solves == 0
+        assert rec.stats.block_evaluations == rec.iterations + 1
+        assert rec.stats.inertia_counts == 2
 
 
 def test_sweep_assembles_only_the_k_free_parts(profile, params, monkeypatch,
@@ -451,9 +458,13 @@ def test_warm_evaluations_fall_back_to_dense_solves(profile, params, mesh64,
     dense = rt.dispersion(mesh64, profile, params, k_values, 4)
     for a, b in zip(warm, dense):
         assert a.converged and b.converged
-        assert a.stats.block_iterations >= a.iterations
+        assert a.stats.dense_solves == 0
+        assert a.stats.block_iterations >= a.iterations + 1
         assert b.stats.block_iterations == 0
-        assert b.stats.dense_solves == b.iterations + 1
+        # every warm evaluation falls back, the certificate's included
+        assert b.stats.dense_solves == b.stats.block_evaluations
+        assert b.stats.block_evaluations == b.iterations + 1
+        assert a.stats.inertia_counts == b.stats.inertia_counts == 2
         assert abs(a.lambda_n - b.lambda_n) <= 1e-12 * b.lambda_n
 
 
@@ -462,14 +473,37 @@ def test_records_report_how_they_were_found(profile, params, mesh64,
     settings_ = rt.SolverSettings()
     rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, 2, settings_)
     stats = rec.stats
-    assert stats.dense_solves == 3  # two bracket ends and the certificate
-    assert stats.block_evaluations == rec.iterations
+    assert stats.dense_solves == 2  # the two bracket ends
+    # the certificate: two inertia counts and one warm evaluation
+    assert stats.inertia_counts == 2
+    assert stats.block_evaluations == rec.iterations + 1
     assert stats.start_bracket == (BRACKET_FLOOR * growth_cap, growth_cap)
     lo, hi = stats.final_bracket
     assert lo <= rec.lambda_n <= hi
     assert hi - lo <= settings_.tol_rel * hi
     assert stats.residual_rel == rec.residual / rec.lambda_n
     assert dataclasses.replace(rec, stats=None) == rec
+
+
+@pytest.mark.parametrize("miss", ["above", "below"])
+def test_certificate_falls_back_to_a_dense_solve(profile, params, mesh64,
+                                                 monkeypatch, miss):
+    # counts that do not bracket n: n - 1 on both sides of the root, or n
+    k, n = 1.0, 2
+    counted = rt.solve_lambda_n(mesh64, profile, params, k, n)
+    missed = n - 1 if miss == "above" else n
+    monkeypatch.setattr(growth_solver, "inertia_count",
+                        lambda pencil, sigma: missed)
+    rec = rt.solve_lambda_n(mesh64, profile, params, k, n)
+    dense = branch_evaluation(
+        rt.assemble_B(mesh64, profile, params, k, rec.lambda_n), n)
+    assert dense.dense
+    residual = abs(params.g * k * k * dense.gamma - rec.lambda_n)
+    assert rec == dataclasses.replace(counted, residual=residual)
+    assert rec.converged
+    assert rec.stats.dense_solves == counted.stats.dense_solves + 1
+    assert rec.stats.block_evaluations == counted.stats.block_evaluations - 1
+    assert rec.stats.inertia_counts == 2
 
 
 @pytest.mark.parametrize("mu, solved", [(1e12, set()),

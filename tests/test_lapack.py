@@ -10,7 +10,8 @@ import pytest
 import rtspec as rt
 from rtspec import spectral_core as sc
 
-NAMES = ("dpbtrf", "dpbtrs", "dsygvd", "dsygvx", "dsygvx_lwork")
+NAMES = ("dpbtrf", "dpbtrs", "dsygvd", "dsygvx", "dsygvx_lwork", "dsytrf",
+         "dsytrf_lwork")
 IMPORTS = {
     "rtspec-first": "import rtspec._lapack as ours, scipy.linalg.lapack as theirs",
     "scipy-first": "import scipy.linalg.lapack as theirs, rtspec._lapack as ours",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -337,6 +338,54 @@ def test_sweep_factors_once_per_pencil(profile, params, mesh64, monkeypatch):
     assert all(r.converged for r in records)
     # one factorization per pencil: every warm step reuses assemble_B's
     assert len(factored) == len(assembled) == 396
+
+
+def test_sweep_certifies_records_by_counts(profile, params, mesh64,
+                                           monkeypatch):
+    calls = {"dsygvx": 0, "dsytrf": 0}
+
+    def counted(name):
+        routine = getattr(_lapack, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(_lapack, name, counted(name))
+    records = rt.dispersion(mesh64, profile, params,
+                            np.geomspace(0.25, 4.0, 20), 4)
+    assert all(r.converged for r in records)
+    # the only subset eigensolves are the upper bracket ends, one per k;
+    # every record is certified by two inertia counts
+    assert calls == {"dsygvx": 20, "dsytrf": 2 * len(records)}
+
+
+def test_inertia_count_is_the_number_of_eigenvalues_above(
+        profile, params, growth_cap, monkeypatch):
+    two_by_two = []
+
+    def recorded(a):
+        ldu, ipiv = ldl(a)
+        two_by_two.append(np.count_nonzero(ipiv < 0))
+        return ldu, ipiv
+    ldl = _lapack.ldl
+    monkeypatch.setattr(_lapack, "ldl", recorded)
+    for n_elements, k in itertools.product((16, 64, 128), (0.25, 1.0, 4.0)):
+        mesh = rt.build_mesh(profile.a, n_elements)
+        for lam in growth_cap * np.array([1e-6, 1e-2, 0.3, 1.0]):
+            pencil = rt.assemble_B(mesh, profile, params, k, lam)
+            vals = spectral_core._dense_pairs(pencil)[0]
+            top = vals[:6]
+            # above the spectrum, between branches, and on either side of
+            # each branch as a certificate counts
+            sigmas = np.concatenate([[2.0 * top[0]], np.sqrt(top[:-1] * top[1:]),
+                                     top * (1.0 - 1e-6), top * (1.0 + 1e-6)])
+            for sigma in sigmas:
+                assert (spectral_core.inertia_count(pencil, sigma)
+                        == np.count_nonzero(vals > sigma))
+    # 2x2 pivots are common at 16 elements and rare at 64 and 128
+    assert sum(two_by_two) > 0
 
 
 def _trial_map(n, row):
