@@ -10,7 +10,10 @@ f < 0 at the other, so it is safe even where f itself is not monotone.
 Every step evaluates f and f' from ``branch_evaluation``: Rayleigh
 quotients free of eigensolver noise, from vectors warm-started at the
 previous step's.  Two inertia counts at the returned rate certify that it
-is branch n's, and one more warm evaluation there gives its residual.
+is branch n's, and one more warm evaluation there gives its residual.  A
+sweep evaluates the two bracket ends once per k for all its branches, and
+carries each branch's vectors at the bracket floor on to the next k as the
+warm start of that branch's floor there.
 """
 
 from __future__ import annotations
@@ -73,14 +76,15 @@ class SolverSettings:
 class SolveStats:
     """How one growth record was found.
 
-    Counts are of this solve's own eigen-evaluations: bracket ends a sweep
-    solved once per k are not included.  ``dense_solves`` counts dense
-    eigensolves (ends solved here, fallbacks of warm evaluations, and the
-    certificate where the inertia counts do not bracket n),
-    ``block_evaluations`` the warm evaluations (the certificate's included)
-    and ``block_iterations`` their subspace iterations.  ``inertia_counts``
-    counts ``inertia_count`` calls, two per certificate.  ``residual_rel``
-    is the certificate's |f| / lambda.
+    Counts are of this solve's own eigen-evaluations.  The bracket ends a
+    sweep passes in are not included: it evaluates them once per k, its
+    floors warm or dense, outside any record.  ``dense_solves`` counts
+    dense eigensolves (the two ends when solved here, fallbacks of warm
+    evaluations, and the certificate where the inertia counts do not
+    bracket n), ``block_evaluations`` the warm evaluations (the
+    certificate's included) and ``block_iterations`` their subspace
+    iterations.  ``inertia_counts`` counts ``inertia_count`` calls, two per
+    certificate.  ``residual_rel`` is the certificate's |f| / lambda.
     """
 
     dense_solves: int
@@ -133,16 +137,45 @@ def _no_branch(k: float, n: int, reason: str = NO_UNSTABLE_BRANCH) -> GrowthReco
 
 
 def _bracket_ends(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
-                  k: float, n: int, cap: float
+                  k: float, n: int, cap: float,
+                  previous: list[BranchEvaluation] | None = None
                   ) -> tuple[list[BranchEvaluation], np.ndarray]:
-    """Bracket ends of branches 1..n: every dense branch at BRACKET_FLOOR *
-    cap and the eigenvalues at the cap; ConfigError below MIN_GROWTH_CAP."""
+    """Bracket ends of branches 1..n: each present branch at BRACKET_FLOOR
+    * cap and the eigenvalues at the cap; ConfigError below MIN_GROWTH_CAP.
+
+    Branch m of ``previous`` (the lower ends at a sweep's previous k), if
+    present, warm-starts branch m's floor evaluation from its own block:
+    ``branch_evaluation``'s subspace iteration, or its dense subset solve
+    where that fails.  So a branch's lower end depends on no other branch,
+    and a record on no n_max.  The floor's full decomposition
+    (``dense_branches``), made at most once, gives every other branch.
+    This keeps what the root finder relies on:
+
+    - f > 0 at the floor stays certified: a warm gamma is the m-th Ritz
+      value of a subspace, a lower bound on gamma_m;
+    - a branch is absent, or has f <= 0 at the floor, only where the
+      dense spectrum says so: a warm evaluation that finds either falls
+      through to it;
+    - the inertia counts at the end of each solve still certify the
+      branch index, and the cap's eigenvalues, the reasons and the
+      exit codes are as without ``previous``.
+    """
     if cap < MIN_GROWTH_CAP:
         raise ConfigError(f"growth-rate cap sqrt(g/L0) = {cap:.3g} is below "
                           f"{MIN_GROWTH_CAP:.3g}")
-    return (dense_branches(assemble_B(mesh, profile, params, k,
-                                      BRACKET_FLOOR * cap), n),
-            gamma_values(assemble_B(mesh, profile, params, k, cap), n))
+    floor = BRACKET_FLOOR * cap
+    pencil = assemble_B(mesh, profile, params, k, floor)
+    lowers, full = [], None
+    for m in range(1, n + 1):
+        lower = (branch_evaluation(pencil, m, previous[m - 1].block)
+                 if previous is not None and m <= len(previous) else None)
+        if lower is None or params.g * k * k * lower.gamma <= floor:
+            full = dense_branches(pencil, n) if full is None else full
+            if m > len(full):
+                break
+            lower = full[m - 1]
+        lowers.append(lower)
+    return lowers, gamma_values(assemble_B(mesh, profile, params, k, cap), n)
 
 
 def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
@@ -176,6 +209,8 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     the branch is absent (degenerate stratification, or n beyond the
     positive spectrum) rather than raising, and with ``rate-below-floor``
     when a present branch has f <= 0 at the bracket floor: its rate is lower.
+    Raises NumericalError when f is not finite there (the floor's pencil
+    overflowed) or f >= 0 at the cap.
     """
     if not k > 0.0:
         raise ValueError("wavenumber k must be strictly positive")
@@ -211,6 +246,9 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         return _no_branch(k, n)
     lower = lowers[n - 1]
     f_lo = gk2 * lower.gamma - lo
+    if not math.isfinite(f_lo):  # a NaN f would pass as positive
+        raise NumericalError(f"fixed-point function is {f_lo} at the bracket "
+                             f"floor lam={lo}, k={k}, n={n}")
     if f_lo <= 0.0:
         return _no_branch(k, n, RATE_BELOW_FLOOR)
     # A present branch under the cap's drop level has f(cap) = -cap there.
@@ -292,14 +330,19 @@ def dispersion(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     Missing branches appear as non-converged records, not failures.  Once
     branch n is absent at some k, higher branches there are absent too.
     The pencils at the two bracket ends are solved once per k for all
-    n_max branches.
+    n_max branches: the cap's eigenvalues anew, and each branch's floor
+    vectors carried on from the previous k (see ``_bracket_ends``), so
+    only the first k, and a k where a branch's warm start fails, make the
+    floor's full decomposition.
     """
     _, cap = char_length(profile, params.g)
     records: list[GrowthRecord] = []
+    ends = None
     for k in k_values:
         k = float(k)
         ends = (None if cap == 0.0
-                else _bracket_ends(mesh, profile, params, k, n_max, cap))
+                else _bracket_ends(mesh, profile, params, k, n_max, cap,
+                                   ends and ends[0]))
         absent = False
         for n in range(1, n_max + 1):
             if absent:

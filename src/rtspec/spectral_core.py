@@ -392,7 +392,8 @@ def dense_branches(pencil: PencilAssembly, n: int) -> list[BranchEvaluation]:
     A subset eigensolve rounds differently for different subset sizes; the
     full one gives every branch bit for bit whatever n is, so a sweep that
     shares one lower bracket end among n branches starts each branch
-    exactly where a single solve would.
+    exactly where a single solve would.  A sweep reads it at its first k
+    and where a branch's floor carried from the previous k falls through.
     """
     vals, vecs = _dense_pairs(pencil)
     return [_evaluation(pencil, m, vals, vecs)

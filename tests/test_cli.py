@@ -549,6 +549,19 @@ _NUMERICAL_FAILURES = {
     "mode-rate-below-floor": (b"params.mu = 1e12\nmesh.n_elements = 16\n",
                               ["mode", "--k1", "1", "--k2", "0",
                                "--out", "{tmp}/x.csv"]),
+    # the floor's pencil overflows to NaN, and f there is NaN: once read
+    # as an absent branch (dispersion and lambda-max exited 0 and 3 with
+    # every record no-unstable-branch, and verify ended in a traceback)
+    "nan-floor-dispersion": (
+        b"profile.rho_plus = 1e307\n",
+        ["dispersion", "--k-min", "0.25", "--k-max", "4", "--n-k", "20",
+         "--n-max", "4", "--out", "{tmp}/x.csv"]),
+    "nan-floor-lambda-max": (b"profile.rho_plus = 1e307\n", ["lambda-max"]),
+    "nan-floor-mode": (b"profile.rho_plus = 1e307\n",
+                       ["mode", "--k1", "1", "--k2", "0",
+                        "--out", "{tmp}/x.csv"]),
+    "nan-floor-verify": (b"profile.rho_plus = 1e307\n",
+                         ["verify", "--suite", "all"]),
 }
 
 
@@ -593,6 +606,21 @@ def test_rate_below_floor_exits_4_with_one_line(tmp_path, case):
     assert code == 4
     assert len(err.splitlines()) == 1
     assert "record(s) without a rate" in err and "rate-below-floor" in err
+
+
+def test_sweep_below_the_nan_floor_is_solved(tmp_path):
+    # at rho+ = 1e306 the floor's f stays finite: every record converges
+    path, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+    path.write_text("profile.rho_plus = 1e306\n")
+    code, _, _ = _run(["dispersion", "--k-min", "0.25", "--k-max", "4",
+                       "--n-k", "20", "--n-max", "4", "--out", str(out),
+                       "--config", str(path)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    rows = [line.split(",") for line in lines[lines.index(CSV_HEADER) + 1:]]
+    assert len(rows) == 80
+    assert all(row[-1] == "True" and np.isfinite(float(row[2]))
+               for row in rows)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -198,11 +198,16 @@ def test_dispersion_gap_reporting(degenerate_profile, params):
 
 
 def test_more_branches_do_not_move_earlier_ones(profile, params):
+    # each branch carries only its own floor vectors from k to k
     mesh = rt.build_mesh(1.0, 32)
-    two = rt.dispersion(mesh, profile, params, [1.0], 2)
-    four = rt.dispersion(mesh, profile, params, [1.0], 4)
-    for a, b in zip(two, four[:2]):
-        assert a.lambda_n == b.lambda_n
+    k_values = np.geomspace(0.25, 4.0, 20)
+    two = rt.dispersion(mesh, profile, params, k_values, 2)
+    four = [r for r in rt.dispersion(mesh, profile, params, k_values, 4)
+            if r.n <= 2]
+    assert len(two) == len(four) == 40
+    for a, b in zip(two, four):
+        assert (a.k, a.n) == (b.k, b.n)
+        assert a.lambda_n == b.lambda_n and a.iterations == b.iterations
 
 
 def test_lattice_magnitudes():
@@ -318,6 +323,16 @@ def test_dispersion_matches_single_solves(profile, params, mesh64):
         assert abs(rec.lambda_n - single.lambda_n) <= 1e-12 * single.lambda_n
 
 
+def test_dispersion_on_a_descending_grid_with_a_repeated_k(profile, params,
+                                                          mesh64):
+    records = rt.dispersion(mesh64, profile, params, [4.0, 1.0, 1.0, 0.25], 4)
+    assert [r.k for r in records] == [4.0] * 4 + [1.0] * 8 + [0.25] * 4
+    for rec in records:
+        single = rt.solve_lambda_n(mesh64, profile, params, rec.k, rec.n)
+        assert rec.converged and single.converged
+        assert abs(rec.lambda_n - single.lambda_n) <= 1e-12 * single.lambda_n
+
+
 def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
                                                    monkeypatch):
     calls = {}
@@ -339,10 +354,14 @@ def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
     warm = [args for args in calls["branch_evaluation"] if args[2] is not None]
     dense = (len(calls["gamma_values"]) + len(calls["dense_branches"])
              + len(calls["branch_evaluation"]) - len(warm))
-    # two bracket ends per k; each record's certificate is two counts and
-    # a warm evaluation
-    assert dense == 2 * len(k_values)
-    assert len(warm) == sum(r.iterations + 1 for r in records)
+    # the cap's eigenvalues once per k; the floor's full decomposition at
+    # the first k only, and each later floor one warm evaluation per
+    # branch; each record's certificate is two counts and a warm evaluation
+    assert len(calls["gamma_values"]) == len(k_values)
+    assert len(calls["dense_branches"]) == 1
+    assert dense == len(k_values) + 1
+    assert len(warm) == (sum(r.iterations + 1 for r in records)
+                         + 4 * (len(k_values) - 1))
     assert len(calls["inertia_count"]) == 2 * len(records)
     for rec in records:
         assert rec.stats.dense_solves == 0
@@ -466,6 +485,49 @@ def test_warm_evaluations_fall_back_to_dense_solves(profile, params, mesh64,
         assert b.stats.block_evaluations == b.iterations + 1
         assert a.stats.inertia_counts == b.stats.inertia_counts == 2
         assert abs(a.lambda_n - b.lambda_n) <= 1e-12 * b.lambda_n
+
+
+@pytest.mark.parametrize("fail", ["absent", "unconverged"])
+@pytest.mark.parametrize("depth, n_converged", [(1.0, 4), (1e-4, 1)])
+def test_failed_warm_floors_fall_back_to_dense_ones(params, monkeypatch,
+                                                    fail, depth, n_converged):
+    # a warm floor that finds its branch absent reads the full
+    # decomposition; one whose subspace iteration fails, a subset solve;
+    # on the thin layer, branches 2-4 have f < 0 at the floor
+    profile = rt.DensityProfile(rho_minus=1.0, rho_plus=2.0, a=depth)
+    mesh = rt.build_mesh(depth, 64)
+    k_values = np.geomspace(0.25, 4.0, 5)
+    floor = BRACKET_FLOOR * rt.char_length(profile, params.g)[1]
+    chained = rt.dispersion(mesh, profile, params, k_values, 4)
+    evaluate = growth_solver.branch_evaluation
+    iterate = spectral_core._subspace_iteration
+    fell_back = []
+
+    def absent(pencil, n, block=None):
+        if block is not None and pencil.lam == floor:
+            fell_back.append(n)
+            return None
+        return evaluate(pencil, n, block)
+
+    def unconverged(pencil, n, block):
+        if pencil.lam == floor:
+            fell_back.append(n)
+            return None
+        return iterate(pencil, n, block)
+    if fail == "absent":
+        monkeypatch.setattr(growth_solver, "branch_evaluation", absent)
+    else:
+        monkeypatch.setattr(spectral_core, "_subspace_iteration", unconverged)
+    dense = rt.dispersion(mesh, profile, params, k_values, 4)
+    assert len(fell_back) == 4 * (len(k_values) - 1)
+    assert [r.converged for r in chained] == [
+        n <= n_converged for n in (1, 2, 3, 4)] * len(k_values)
+    for rec, fallback in zip(chained, dense):
+        assert (rec.k, rec.n, rec.reason) == (fallback.k, fallback.n,
+                                              fallback.reason)
+        if rec.converged:
+            assert (abs(rec.lambda_n - fallback.lambda_n)
+                    <= 1e-12 * fallback.lambda_n)
 
 
 def test_records_report_how_they_were_found(profile, params, mesh64,

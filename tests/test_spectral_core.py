@@ -337,7 +337,7 @@ def test_sweep_factors_once_per_pencil(profile, params, mesh64, monkeypatch):
                             np.geomspace(0.25, 4.0, 20), 4)
     assert all(r.converged for r in records)
     # one factorization per pencil: every warm step reuses assemble_B's
-    assert len(factored) == len(assembled) == 396
+    assert len(factored) == len(assembled) == 395
 
 
 def test_sweep_certifies_records_by_counts(profile, params, mesh64,
@@ -359,6 +359,30 @@ def test_sweep_certifies_records_by_counts(profile, params, mesh64,
     # the only subset eigensolves are the upper bracket ends, one per k;
     # every record is certified by two inertia counts
     assert calls == {"dsygvx": 20, "dsytrf": 2 * len(records)}
+
+
+@pytest.mark.parametrize("run", ["sweep", "lambda-max"])
+def test_sweeps_decompose_only_the_first_floor(profile, params, mesh64,
+                                               monkeypatch, run):
+    # one full dsygvd of the pencil, at the first k's bracket floor: each
+    # later floor starts from its branch's vectors at the previous k (the
+    # small dsygvd calls are the warm steps' Rayleigh-Ritz pencils)
+    rows = []
+    dsygvd = _lapack.dsygvd
+
+    def counted(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return dsygvd(a, *args, **kwargs)
+    monkeypatch.setattr(_lapack, "dsygvd", counted)
+    if run == "sweep":
+        records = rt.dispersion(mesh64, profile, params,
+                                np.geomspace(0.25, 4.0, 20), 4)
+    else:
+        records = rt.lambda_max(mesh64, profile, params, 8.0).records
+        assert len(records) == 29
+    assert all(r.converged for r in records)
+    assert rows.count(mesh64.dof_count - 1) == 1
+    assert max(rows[1:]) <= 4 + spectral_core._GUARD_VECTORS
 
 
 def test_inertia_count_is_the_number_of_eigenvalues_above(
