@@ -19,14 +19,11 @@ Every dense eigensolve of the pencil runs through ``_dense_pairs``.
 ``gamma_values`` and ``gamma_spectrum`` return the eigenvalues of the
 pencil's matrices, with relative noise of about eps * cond(K).  The root
 finder reads ``branch_evaluation`` instead: the Rayleigh quotient of each
-eigenvector with both quadratic forms summed as squares at the quadrature
-points, which is free of that noise, and its rate derivative.  The forms
-are those of the mesh, profile and parameters the pencil carries, found
-through the memoized functions of ``discretization``, which every pencil
-of one mesh and profile shares.  ``inertia_count`` counts the eigenvalues
-above a level from one LDL^T factorization, without an eigensolve.  Both
-forms, full and reduced, are lower bands; only the dense eigensolve and
-the count build N x N matrices.
+eigenvector, free of that noise, with both quadratic forms summed as
+squares at the quadrature points of the pencil's memoized forms, and its
+rate derivative.  ``inertia_count`` counts the eigenvalues above a level
+from one LDL^T factorization.  Both forms, full and reduced, are lower
+bands; only the dense eigensolve and the count build N x N matrices.
 """
 
 from __future__ import annotations
@@ -107,9 +104,8 @@ class PencilAssembly:
 
     @cached_property
     def constrained_bands(self) -> tuple:
-        """Lower bands of the moment-constrained (Mw, K), built once: the
-        dense solve and the warm step of one pencil both read them, and
-        neither overwrites them."""
+        """Lower bands of the moment-constrained (Mw, K), built once; the
+        dense solve and the warm step read them and never overwrite them."""
         row = self.moment_row
         return _constrained(self.Mw_band, row), _constrained(self.K_band, row)
 
@@ -207,12 +203,10 @@ def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _dense_pairs(pencil: PencilAssembly, count: int | None = None):
     """Leading ``count`` eigenpairs (all without it) of the pencil on the
-    moment-constrained trial space, by decreasing eigenvalue.
-
-    Returns (values, constrained vectors); ``_lift`` gives full DOF
-    vectors.  This is the one dense eigensolve of (Mw, K), by LAPACK
-    ``dsygvd`` (all pairs) or ``dsygvx`` (a subset); it factors the
-    constrained K and raises CoercivityError if that fails.
+    moment-constrained trial space, by decreasing eigenvalue: (values,
+    constrained vectors), and ``_lift`` gives full DOF vectors.  The one
+    dense eigensolve of (Mw, K), by LAPACK ``dsygvd`` (all pairs) or
+    ``dsygvx`` (a subset); CoercivityError if it cannot factor K.
     """
     mw, kmat = map(dense, pencil.constrained_bands)
     dof = kmat.shape[0]
@@ -253,11 +247,8 @@ def gamma_spectrum(pencil: PencilAssembly, n_max: int) -> SpectrumResult:
 
 
 def gamma_values(pencil: PencilAssembly, n_max: int) -> np.ndarray:
-    """Largest n_max eigenvalues, as the dense eigensolve returns them.
-
-    They carry eps * cond(K) relative noise; ``branch_evaluation`` is the
-    accurate evaluation.
-    """
+    """Largest n_max positive eigenvalues from the dense eigensolve, with its
+    eps * cond(K) relative noise (``branch_evaluation`` is free of it)."""
     vals = _dense_pairs(pencil, n_max)[0]
     return vals[:_positive_count(vals)]
 
@@ -322,6 +313,18 @@ def _lift(x: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.concatenate([x, [row @ x[-3:]]])
 
 
+def _converged(m_n: np.ndarray, kx: np.ndarray) -> bool:
+    """|m_n - kx| <= _BLOCK_RTOL * max(|m_n|, |kx|) by squared norms; where
+    one overflows, by those of both scaled by a power of two, which is exact
+    (as in Blue's 1978 norm).  False where an entry is not finite."""
+    bound, res = max(m_n @ m_n, kx @ kx), m_n - kx
+    if bound == np.inf:
+        top = max(np.abs(m_n).max(), np.abs(kx).max())
+        return np.isfinite(top) and _converged(*np.ldexp([m_n, kx], -np.frexp(top)[1]))
+    return res @ res <= _BLOCK_RTOL**2 * bound
+
+
+@np.errstate(over="ignore")  # squares of |Mw x| may overflow: see _converged
 def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     """Ritz pairs of the reduced pencil from ``block`` by K^-1 Mw iteration.
 
@@ -329,12 +332,9 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
     solves K Y = Mw X by ``dpbtrs`` with the pencil's ``k_factor``, then
     takes the Rayleigh-Ritz pairs on span(Y) (largest first, by ``dsygvd``);
     K Y = Mw X gives Y^T K Y and K x without a product with K.  Returns
-    (ritz values, vectors, iterations) once branch n's relative residual
-    is at most _BLOCK_RTOL, or None after _BLOCK_MAX_ITERATIONS, when
-    ``dsygvd`` fails (say, the block lost rank) or when K overflowed.
+    (ritz values, vectors, iterations) once ``_converged`` passes for branch
+    n, or None after _BLOCK_MAX_ITERATIONS or if ``dsygvd`` fails (rank loss).
     """
-    if not np.isfinite(pencil.K_band[:, -4:]).all():
-        return None  # g k^2 rho+ / lam overflowed; so would |Mw x|^2 below
     mw, factor = pencil.constrained_bands[0], pencil.k_factor
     try:
         mx = _band_apply(mw, block[:, :n + _GUARD_VECTORS])
@@ -345,8 +345,7 @@ def _subspace_iteration(pencil: PencilAssembly, n: int, block: np.ndarray):
             theta, z = theta[::-1], z[:, ::-1]
             kx = theta[n - 1] * (mx @ z[:, n - 1])
             x, mx = y @ z, my @ z
-            res, m_n = mx[:, n - 1] - kx, mx[:, n - 1]
-            if res @ res <= _BLOCK_RTOL**2 * max(m_n @ m_n, kx @ kx):
+            if _converged(mx[:, n - 1], kx):
                 return theta, x, iteration
     except np.linalg.LinAlgError:
         pass

@@ -34,7 +34,7 @@ from .discretization import (
     quadrature_values,
 )
 from .equilibria import DensityProfile, PhysicalParams, char_length
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .growth_solver import (
     FIXED_POINT_RTOL,
     NO_UNSTABLE_BRANCH,
@@ -273,7 +273,7 @@ def _leading_gammas(mesh: Mesh, profile: DensityProfile,
     for i, lam in enumerate(grid):
         g = gamma_values(assemble_B(mesh, profile, params, k, float(lam)), n)
         if g.size < n:
-            raise ValueError(f"branch n={n} absent at lam={lam}")
+            raise NumericalError(f"branch n={n} absent at lam={lam}, k={k}")
         gam[i] = g
     return gam
 
@@ -300,7 +300,8 @@ def monotonicity_probe(mesh: Mesh, profile: DensityProfile,
 
     quantity="gamma" asserts strict decrease; "rate-ratio" asserts strict
     increase of lam/gamma_n.  Residual is the worst signed violation, so
-    single-point grids pass vacuously.
+    single-point grids pass vacuously.  Raises NumericalError where a grid
+    pencil has fewer than n positive eigenvalues.
     """
     if quantity not in ("gamma", "rate-ratio"):
         raise ValueError("quantity must be 'gamma' or 'rate-ratio'")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rtspec as rt
-from rtspec import _threads, cli
+from rtspec import _threads, cli, spectral_core
 from rtspec.cli import CSV_HEADER, main
 from rtspec.config import _DEFAULTS, load_config
 from rtspec.errors import ConfigError
@@ -562,6 +562,14 @@ _NUMERICAL_FAILURES = {
                         "--out", "{tmp}/x.csv"]),
     "nan-floor-verify": (b"profile.rho_plus = 1e307\n",
                          ["verify", "--suite", "all"]),
+    # a monotone grid pencil has fewer than four positive eigenvalues:
+    # once a ValueError traceback and exit 1
+    "absent-monotone-branch-1e303": (b"profile.rho_plus = 1e303\n",
+                                     ["verify", "--suite", "monotone"]),
+    "absent-monotone-branch-1e307": (b"profile.rho_plus = 1e307\n",
+                                     ["verify", "--suite", "monotone"]),
+    "absent-monotone-branch-all": (b"profile.rho_plus = 1e303\n",
+                                   ["verify", "--suite", "all"]),
 }
 
 
@@ -608,10 +616,19 @@ def test_rate_below_floor_exits_4_with_one_line(tmp_path, case):
     assert "record(s) without a rate" in err and "rate-below-floor" in err
 
 
-def test_sweep_below_the_nan_floor_is_solved(tmp_path):
-    # at rho+ = 1e306 the floor's f stays finite: every record converges
+def test_sweep_below_the_nan_floor_is_solved(tmp_path, monkeypatch):
+    # at rho+ = 1e306 the floor's f stays finite: every record converges,
+    # and every warm step does, as at rho+ = 2, though g k^2 rho+ / lam
+    # overflows in K at the floors
     path, out = tmp_path / "run.cfg", tmp_path / "x.csv"
     path.write_text("profile.rho_plus = 1e306\n")
+    solves = []
+    dense_pairs = spectral_core._dense_pairs
+
+    def counted(pencil, count=None):
+        solves.append("dsygvd" if count is None else "dsygvx")
+        return dense_pairs(pencil, count)
+    monkeypatch.setattr(spectral_core, "_dense_pairs", counted)
     code, _, _ = _run(["dispersion", "--k-min", "0.25", "--k-max", "4",
                        "--n-k", "20", "--n-max", "4", "--out", str(out),
                        "--config", str(path)])
@@ -621,6 +638,7 @@ def test_sweep_below_the_nan_floor_is_solved(tmp_path):
     assert len(rows) == 80
     assert all(row[-1] == "True" and np.isfinite(float(row[2]))
                for row in rows)
+    assert sorted(solves) == ["dsygvd"] + ["dsygvx"] * 20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -685,7 +703,8 @@ _command_lines = st.one_of(
               _k_values, _k_values, _mostly(("1", "2"), ("0", "-1")), _outputs),
     st.builds(lambda command, out: command + ([] if out is None else [out]),
               st.sampled_from((["lambda-max"],
-                               ["verify", "--suite", "appendixD"])),
+                               ["verify", "--suite", "appendixD"],
+                               ["verify", "--suite", "monotone"])),
               _mostly((None, "file"), ("missing-dir", "directory"))))
 
 

@@ -321,6 +321,49 @@ def test_each_pencil_is_factored_once(profile, params, mesh64, monkeypatch):
     assert len(factored) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rho_plus", [1e303, 1e306])
+def test_warm_step_where_the_surface_weight_overflows(params, mesh64,
+                                                      rho_plus):
+    # at the bracket floor g k^2 rho+ / lam overflows in K's corner, and
+    # the stopping test's squares of |Mw x| overflow; the warm step from
+    # the floor at the previous k still converges, to the dense branch
+    profile = rt.DensityProfile(rho_minus=1.0, rho_plus=rho_plus, a=1.0)
+    floor = growth_solver.BRACKET_FLOOR * rt.char_length(profile, params.g)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # in the assembly
+        start, pencil = (rt.assemble_B(mesh64, profile, params, k, floor)
+                         for k in (1.0, 1.1))
+    assert np.isinf(pencil.K_band[:, -4:]).any()
+    blocks = dense_branches(start, 4)
+    for n in (1, 4):
+        warm = branch_evaluation(pencil, n, blocks[n - 1].block)
+        cold = branch_evaluation(pencil, n)
+        assert not warm.dense and cold.dense
+        assert abs(warm.gamma - cold.gamma) <= 1e-11 * cold.gamma
+
+
+def test_stopping_test_does_not_depend_on_the_scale():
+    # the warm step's residual test decides alike on vectors scaled by 2^e,
+    # whether their squared norms overflow (e >= 512 here) or not, and
+    # fails wherever an entry is not finite
+    rng = np.random.default_rng(7)
+    m_n = rng.standard_normal(129)
+    decisions = []
+    with np.errstate(over="ignore"):  # as in _subspace_iteration
+        for rel in (1e-7, 1e-5):  # residuals below and above _BLOCK_RTOL
+            kx = m_n + rel * np.abs(m_n).max() * rng.standard_normal(129)
+            decisions.append({bool(spectral_core._converged(np.ldexp(m_n, e),
+                                                            np.ldexp(kx, e)))
+                              for e in (0, 300, 600, 1000)})
+        for bad in (np.inf, np.nan):
+            for scale in (1.0, 2.0**600):
+                broken = m_n.copy()
+                broken[3] = bad
+                assert not spectral_core._converged(scale * broken, scale * m_n)
+                assert not spectral_core._converged(scale * m_n, scale * broken)
+    assert decisions == [{True}, {False}]
+
+
 def test_sweep_factors_once_per_pencil(profile, params, mesh64, monkeypatch):
     factored, assembled = [], []
 
