@@ -9,8 +9,8 @@ found by Newton's method safeguarded by a bracket with f > 0 at one end and
 f < 0 at the other, so it is safe even where f itself is not monotone.
 Every step evaluates f and f' from ``branch_evaluation``: Rayleigh
 quotients free of eigensolver noise, from vectors warm-started at the
-previous step's.  Two inertia counts at the returned rate certify that it
-is branch n's, and one more warm evaluation there gives its residual.  A
+previous step's.  One more warm evaluation at the returned rate gives its
+residual, and with one inertia count there certifies it as branch n's.  A
 sweep evaluates the two bracket ends once per k for all its branches, and
 carries each branch's vectors at the bracket floor on to the next k as the
 warm start of that branch's floor there.
@@ -52,8 +52,8 @@ MIN_GROWTH_CAP = math.sqrt(np.finfo(float).tiny) / BRACKET_FLOOR
 # A converged record must reproduce its own fixed point to this relative level.
 FIXED_POINT_RTOL = 1e-8
 
-# The certificate counts the eigenvalues above sigma * (1 -/+ COUNT_SHIFT),
-# where sigma = lambda_n / (g k^2) is branch n's gamma at its own rate.
+# The certificate puts gamma_n within sigma * (1 -/+ COUNT_SHIFT), where
+# sigma = lambda_n / (g k^2) is branch n's gamma at its own rate.
 COUNT_SHIFT = 1e-6
 
 # lattice_magnitudes refuses to enumerate more (i, j) points than this.
@@ -80,11 +80,11 @@ class SolveStats:
     sweep passes in are not included: it evaluates them once per k, its
     floors warm or dense, outside any record.  ``dense_solves`` counts
     dense eigensolves (the two ends when solved here, fallbacks of warm
-    evaluations, and the certificate where the inertia counts do not
-    bracket n), ``block_evaluations`` the warm evaluations (the
-    certificate's included) and ``block_iterations`` their subspace
-    iterations.  ``inertia_counts`` counts ``inertia_count`` calls, two per
-    certificate.  ``residual_rel`` is the certificate's |f| / lambda.
+    evaluations, and the certificate where the warm one fails),
+    ``block_evaluations`` the warm evaluations (the certificate's included)
+    and ``block_iterations`` their subspace iterations.  ``inertia_counts``
+    counts ``inertia_count`` calls, one where the certificate's warm gamma
+    passes its bound.  ``residual_rel`` is the certificate's |f| / lambda.
     """
 
     dense_solves: int
@@ -101,8 +101,8 @@ class GrowthRecord:
     """One (wavenumber, branch) growth-rate solve.
 
     ``residual`` is the absolute fixed-point defect |g k^2 gamma_n - lam_n|
-    recomputed at the returned rate: by a warm evaluation where two
-    inertia counts there show that the rate is branch n's, else by a dense
+    recomputed at the returned rate: by a warm evaluation where it and one
+    inertia count show that the rate is branch n's, else by a dense
     eigensolve.  Records without a branch carry NaN and a reason string.
     ``stats`` (not compared) tells how a solved record was found.
     """
@@ -156,7 +156,7 @@ def _bracket_ends(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     - a branch is absent, or has f <= 0 at the floor, only where the
       dense spectrum says so: a warm evaluation that finds either falls
       through to it;
-    - the inertia counts at the end of each solve still certify the
+    - the certificate at the end of each solve still certifies the
       branch index, and the cap's eigenvalues, the reasons and the
       exit codes are as without ``previous``.
     """
@@ -194,12 +194,12 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     of the final bracket, is returned; ``iterations`` counts the steps
     after the two end evaluations.
 
-    The returned rate is certified on its own pencil.  Where the number of
-    eigenvalues gamma > sigma (sigma = rate / (g k^2), branch n's gamma at
-    its root) is at least n at sigma * (1 - COUNT_SHIFT) and exactly n - 1
-    at sigma * (1 + COUNT_SHIFT), the rate is branch n's, and a warm
-    evaluation from the last step's block gives the residual |f(rate)|.
-    Otherwise a dense subset eigensolve gives it.
+    The returned rate is certified on its own pencil.  A warm evaluation
+    from the last step's block gives a Ritz value, a lower bound on gamma_n.
+    Where it is at least sigma * (1 - COUNT_SHIFT) (sigma = rate / (g k^2))
+    and one inertia count finds n - 1 eigenvalues above sigma * (1 +
+    COUNT_SHIFT), the rate is branch n's, and that evaluation gives the
+    residual |f(rate)|.  Otherwise a dense subset eigensolve gives it.
 
     ``ends`` holds ``_bracket_ends`` for at least n branches; a sweep
     passes them to solve each end once per wavenumber.  Without it the
@@ -294,13 +294,13 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     rate = lo if lo == hi else lo + f_lo * (hi - lo) / (f_lo - f_hi)
     interval_ok = hi - lo <= settings.tol_rel * hi
     pencil = assemble_B(mesh, profile, params, k, rate)
-    sigma = rate / gk2
-    above = [inertia_count(pencil, sigma * (1.0 + shift))
-             for shift in (-COUNT_SHIFT, COUNT_SHIFT)]
-    # Counts that bracket n put gamma_n within COUNT_SHIFT of sigma: the
-    # rate is branch n's root, and no dense solve need say which branch.
-    counted = above[0] >= n and above[1] == n - 1
-    certificate = evaluate(rate, block if counted else None, pencil)
+    # The warm gamma, a lower bound on gamma_n, and one count certify the
+    # rate; else a dense solve does, as only it declares a branch absent.
+    certificate = evaluate(rate, block, pencil)
+    counted = certificate is not None and certificate[0] >= -COUNT_SHIFT * rate
+    if not (counted and inertia_count(pencil, rate / gk2 * (1.0 + COUNT_SHIFT))
+            == n - 1):
+        certificate = evaluate(rate, None, pencil)
     if certificate is None:
         return _no_branch(k, n)
     residual = abs(certificate[0])
@@ -314,7 +314,7 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     stats = SolveStats(dense_solves=dense_solves,
                        block_evaluations=block_evaluations,
                        block_iterations=block_iterations,
-                       inertia_counts=len(above),
+                       inertia_counts=int(counted),
                        start_bracket=(BRACKET_FLOOR * cap, cap),
                        final_bracket=(lo, hi), residual_rel=residual / rate)
     return GrowthRecord(k=k, n=n, lambda_n=rate, residual=residual,

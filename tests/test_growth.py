@@ -11,6 +11,7 @@ from rtspec import discretization, growth_solver, spectral_core
 from rtspec.errors import ConfigError
 from rtspec.growth_solver import (
     BRACKET_FLOOR,
+    COUNT_SHIFT,
     MAX_ITERATIONS,
     MIN_GROWTH_CAP,
     NO_UNSTABLE_BRANCH,
@@ -356,17 +357,17 @@ def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
              + len(calls["branch_evaluation"]) - len(warm))
     # the cap's eigenvalues once per k; the floor's full decomposition at
     # the first k only, and each later floor one warm evaluation per
-    # branch; each record's certificate is two counts and a warm evaluation
+    # branch; each record's certificate is a warm evaluation and one count
     assert len(calls["gamma_values"]) == len(k_values)
     assert len(calls["dense_branches"]) == 1
     assert dense == len(k_values) + 1
     assert len(warm) == (sum(r.iterations + 1 for r in records)
                          + 4 * (len(k_values) - 1))
-    assert len(calls["inertia_count"]) == 2 * len(records)
+    assert len(calls["inertia_count"]) == len(records)
     for rec in records:
         assert rec.stats.dense_solves == 0
         assert rec.stats.block_evaluations == rec.iterations + 1
-        assert rec.stats.inertia_counts == 2
+        assert rec.stats.inertia_counts == 1
 
 
 def test_sweep_assembles_only_the_k_free_parts(profile, params, monkeypatch,
@@ -483,7 +484,7 @@ def test_warm_evaluations_fall_back_to_dense_solves(profile, params, mesh64,
         # every warm evaluation falls back, the certificate's included
         assert b.stats.dense_solves == b.stats.block_evaluations
         assert b.stats.block_evaluations == b.iterations + 1
-        assert a.stats.inertia_counts == b.stats.inertia_counts == 2
+        assert a.stats.inertia_counts == b.stats.inertia_counts == 1
         assert abs(a.lambda_n - b.lambda_n) <= 1e-12 * b.lambda_n
 
 
@@ -536,8 +537,8 @@ def test_records_report_how_they_were_found(profile, params, mesh64,
     rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, 2, settings_)
     stats = rec.stats
     assert stats.dense_solves == 2  # the two bracket ends
-    # the certificate: two inertia counts and one warm evaluation
-    assert stats.inertia_counts == 2
+    # the certificate: one warm evaluation and one inertia count
+    assert stats.inertia_counts == 1
     assert stats.block_evaluations == rec.iterations + 1
     assert stats.start_bracket == (BRACKET_FLOOR * growth_cap, growth_cap)
     lo, hi = stats.final_bracket
@@ -550,12 +551,23 @@ def test_records_report_how_they_were_found(profile, params, mesh64,
 @pytest.mark.parametrize("miss", ["above", "below"])
 def test_certificate_falls_back_to_a_dense_solve(profile, params, mesh64,
                                                  monkeypatch, miss):
-    # counts that do not bracket n: n - 1 on both sides of the root, or n
+    # a warm gamma under sigma (1 - COUNT_SHIFT), so that no count is
+    # made, or a count of n eigenvalues above sigma (1 + COUNT_SHIFT)
     k, n = 1.0, 2
     counted = rt.solve_lambda_n(mesh64, profile, params, k, n)
-    missed = n - 1 if miss == "above" else n
-    monkeypatch.setattr(growth_solver, "inertia_count",
-                        lambda pencil, sigma: missed)
+    if miss == "above":
+        evaluate = growth_solver.branch_evaluation
+
+        def lowered(pencil, m, block=None):
+            ev = evaluate(pencil, m, block)
+            if block is None or pencil.lam != counted.lambda_n:
+                return ev
+            return dataclasses.replace(
+                ev, gamma=ev.gamma * (1.0 - 2.0 * COUNT_SHIFT))
+        monkeypatch.setattr(growth_solver, "branch_evaluation", lowered)
+    else:
+        monkeypatch.setattr(growth_solver, "inertia_count",
+                            lambda pencil, sigma: n)
     rec = rt.solve_lambda_n(mesh64, profile, params, k, n)
     dense = branch_evaluation(
         rt.assemble_B(mesh64, profile, params, k, rec.lambda_n), n)
@@ -563,9 +575,32 @@ def test_certificate_falls_back_to_a_dense_solve(profile, params, mesh64,
     residual = abs(params.g * k * k * dense.gamma - rec.lambda_n)
     assert rec == dataclasses.replace(counted, residual=residual)
     assert rec.converged
+    # the warm evaluation is still made, and the dense one after it
     assert rec.stats.dense_solves == counted.stats.dense_solves + 1
-    assert rec.stats.block_evaluations == counted.stats.block_evaluations - 1
-    assert rec.stats.inertia_counts == 2
+    assert rec.stats.block_evaluations == counted.stats.block_evaluations
+    assert rec.stats.inertia_counts == (miss == "below")
+
+
+def test_certificate_gamma_is_a_lower_bound(profile, params, mesh64,
+                                            monkeypatch):
+    # the certificate's warm gamma is a Ritz value, so interlacing keeps it
+    # at or below the dense gamma_n, up to rounding
+    warm = {}
+    evaluate = growth_solver.branch_evaluation
+
+    def recorded(pencil, n, block=None):
+        ev = evaluate(pencil, n, block)
+        if block is not None and ev is not None:
+            warm[pencil.lam, n] = ev.gamma
+        return ev
+    monkeypatch.setattr(growth_solver, "branch_evaluation", recorded)
+    records = rt.dispersion(mesh64, profile, params,
+                            np.geomspace(0.25, 4.0, 5), 4)
+    for rec in records:
+        assert rec.converged and rec.stats.dense_solves == 0
+        dense = evaluate(rt.assemble_B(mesh64, profile, params, rec.k,
+                                       rec.lambda_n), rec.n)
+        assert warm[rec.lambda_n, rec.n] <= dense.gamma * (1.0 + 1e-10)
 
 
 @pytest.mark.parametrize("mu, solved", [(1e12, set()),

@@ -383,8 +383,12 @@ def test_sweep_factors_once_per_pencil(profile, params, mesh64, monkeypatch):
     assert len(factored) == len(assembled) == 395
 
 
-def test_sweep_certifies_records_by_counts(profile, params, mesh64,
-                                           monkeypatch):
+@pytest.mark.parametrize("depth, n_k, n_converged", [(1.0, 20, 80),
+                                                     (1e-4, 5, 5)])
+def test_sweep_certifies_records_by_counts(params, monkeypatch, depth, n_k,
+                                           n_converged):
+    # on the thin layer only branch 1 has a rate above the bracket floor
+    profile = rt.DensityProfile(rho_minus=1.0, rho_plus=2.0, a=depth)
     calls = {"dsygvx": 0, "dsytrf": 0}
 
     def counted(name):
@@ -396,12 +400,12 @@ def test_sweep_certifies_records_by_counts(profile, params, mesh64,
         return wrapper
     for name in calls:
         monkeypatch.setattr(_lapack, name, counted(name))
-    records = rt.dispersion(mesh64, profile, params,
-                            np.geomspace(0.25, 4.0, 20), 4)
-    assert all(r.converged for r in records)
+    records = rt.dispersion(rt.build_mesh(depth, 64), profile, params,
+                            np.geomspace(0.25, 4.0, n_k), 4)
+    assert sum(r.converged for r in records) == n_converged
     # the only subset eigensolves are the upper bracket ends, one per k;
-    # every record is certified by two inertia counts
-    assert calls == {"dsygvx": 20, "dsytrf": 2 * len(records)}
+    # every converged record is certified by one inertia count
+    assert calls == {"dsygvx": n_k, "dsytrf": n_converged}
 
 
 @pytest.mark.parametrize("run", ["sweep", "lambda-max"])
