@@ -9,11 +9,11 @@ found by Newton's method safeguarded by a bracket with f > 0 at one end and
 f < 0 at the other, so it is safe even where f itself is not monotone.
 Every step evaluates f and f' from ``branch_evaluation``: Rayleigh
 quotients free of eigensolver noise, from vectors warm-started at the
-previous step's.  One more warm evaluation at the returned rate gives its
-residual, and with one inertia count there certifies it as branch n's.  A
-sweep evaluates the two bracket ends once per k for all its branches, and
-carries each branch's vectors at the bracket floor on to the next k as the
-warm start of that branch's floor there.
+previous step's.  The last step's evaluation gives the returned rate's
+residual, and with one inertia count on its pencil certifies it as branch
+n's.  A sweep evaluates the two bracket ends once per k for all its
+branches, and carries each branch's vectors at the bracket floor on to the
+next k as the warm start of that branch's floor there.
 """
 
 from __future__ import annotations
@@ -80,11 +80,13 @@ class SolveStats:
     sweep passes in are not included: it evaluates them once per k, its
     floors warm or dense, outside any record.  ``dense_solves`` counts
     dense eigensolves (the two ends when solved here, fallbacks of warm
-    evaluations, and the certificate where the warm one fails),
-    ``block_evaluations`` the warm evaluations (the certificate's included)
-    and ``block_iterations`` their subspace iterations.  ``inertia_counts``
-    counts ``inertia_count`` calls, one where the certificate's warm gamma
-    passes its bound.  ``residual_rel`` is the certificate's |f| / lambda.
+    evaluations, and the certificate where the last step's fails),
+    ``block_evaluations`` the warm evaluations, one per step (the
+    certificate makes none of its own), and ``block_iterations`` their
+    subspace iterations.  ``inertia_counts`` counts ``inertia_count``
+    calls, one where the last step's gamma passes its bound.
+    ``final_bracket`` may stay open: Newton's step test ends a record
+    without closing it.  ``residual_rel`` is the certificate's |f| / lambda.
     """
 
     dense_solves: int
@@ -101,9 +103,9 @@ class GrowthRecord:
     """One (wavenumber, branch) growth-rate solve.
 
     ``residual`` is the absolute fixed-point defect |g k^2 gamma_n - lam_n|
-    recomputed at the returned rate: by a warm evaluation where it and one
-    inertia count show that the rate is branch n's, else by a dense
-    eigensolve.  Records without a branch carry NaN and a reason string.
+    at the returned rate: the last step's, where it and one inertia count
+    show that the rate is branch n's, else a dense eigensolve's.  Records
+    without a branch carry NaN and a reason string.
     ``stats`` (not compared) tells how a solved record was found.
     """
 
@@ -184,22 +186,22 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
                    ) -> GrowthRecord:
     """Solve for the n-th growth rate at wavenumber k by bracketed Newton.
 
-    The root of f starts bracketed by [BRACKET_FLOOR * cap, cap]; the
-    bracket shrinks until its width is at most ``settings.tol_rel`` times
-    its upper end, or for at most ``settings.max_iter`` steps (one warm
-    evaluation each).  A step is Newton's from the last point; it bisects
-    when Newton leaves the bracket or f' >= 0, and steps a quarter
-    tolerance past a root predicted within half a tolerance, so that one
-    evaluation closes the bracket.  An exact root, or else the secant root
-    of the final bracket, is returned; ``iterations`` counts the steps
-    after the two end evaluations.
+    The root of f starts bracketed by [BRACKET_FLOOR * cap, cap].  A step
+    (one warm evaluation) is Newton's from the last point x; it bisects
+    when Newton leaves the bracket or f' >= 0.  x is the rate once its own
+    Newton step is at most ``settings.tol_rel * x`` after a step of at
+    most half that reached it (as f' < 0 at the root, the root lies within
+    the tolerance), once its own step rounds to nothing, at an exact root,
+    or once the bracket is as narrow as the tolerance at its upper end;
+    after ``settings.max_iter`` steps it is returned unconverged.
+    ``iterations`` counts the steps after the two end evaluations.
 
-    The returned rate is certified on its own pencil.  A warm evaluation
-    from the last step's block gives a Ritz value, a lower bound on gamma_n.
-    Where it is at least sigma * (1 - COUNT_SHIFT) (sigma = rate / (g k^2))
-    and one inertia count finds n - 1 eigenvalues above sigma * (1 +
-    COUNT_SHIFT), the rate is branch n's, and that evaluation gives the
-    residual |f(rate)|.  Otherwise a dense subset eigensolve gives it.
+    The last step's evaluation certifies the rate: its gamma is a Ritz
+    value, a lower bound on gamma_n.  Where it is at least sigma * (1 -
+    COUNT_SHIFT) (sigma = rate / (g k^2)) and one inertia count on its
+    pencil finds n - 1 eigenvalues above sigma * (1 + COUNT_SHIFT), the
+    rate is branch n's, and that evaluation gives the residual |f(rate)|.
+    Otherwise a dense subset eigensolve on that pencil gives it.
 
     ``ends`` holds ``_bracket_ends`` for at least n branches; a sweep
     passes them to solve each end once per wavenumber.  Without it the
@@ -222,13 +224,11 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
     gk2 = params.g * k * k
     dense_solves = block_evaluations = block_iterations = 0
 
-    def evaluate(lam: float, block: np.ndarray | None = None,
-                 pencil: PencilAssembly | None = None):
-        """(f, f', block) at lam, from its pencil (assembled here unless
-        given), or None when branch n is absent there."""
+    def evaluate(pencil: PencilAssembly, lam: float,
+                 block: np.ndarray | None = None):
+        """(f, f', block) of branch n on lam's pencil, or None when the
+        branch is absent there."""
         nonlocal dense_solves, block_evaluations, block_iterations
-        if pencil is None:
-            pencil = assemble_B(mesh, profile, params, k, lam)
         ev = branch_evaluation(pencil, n, block)
         if ev is None:
             return None
@@ -257,22 +257,28 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         raise NumericalError(
             f"fixed-point bracket failed at k={k}, n={n}: f({cap}) >= 0")
 
-    # x is the last point evaluated; Newton steps from there.
+    # x is the last point evaluated, and pencil its pencil once a step is
+    # made.  near: a Newton step of at most half a tolerance reached x.
     x, fx, dfx, block = lo, f_lo, gk2 * lower.slope - 1.0, lower.block
-    iterations = 0
-    while hi - lo > settings.tol_rel * hi and iterations < settings.max_iter:
-        t = math.nan
-        if dfx < 0.0:
-            step = fx / dfx
-            t = x - step
-            # The tolerance is taken at the predicted root, not at hi: a
-            # bracket that still ends at the cap would make it too wide.
-            tol = settings.tol_rel * t
-            if abs(step) <= 0.5 * tol:
-                t += math.copysign(0.25 * tol, fx)
+    pencil, near, reason, iterations = None, False, None, 0
+    while hi - lo > settings.tol_rel * hi:
+        # Newton's step from x: none where f' >= 0, unless x is a root.
+        step = fx / dfx if dfx < 0.0 else math.nan if fx else 0.0
+        t, tol = x - step, settings.tol_rel * x
+        # Newton's step test, as in the docstring; no test meets a
+        # tolerance below the float spacing.
+        if abs(step) <= tol and x < x + tol and (near or t == x):
+            break
+        # The tolerance is taken at the predicted root, not at hi: a
+        # bracket that still ends at the cap would make it too wide.
+        near = abs(step) <= 0.5 * settings.tol_rel * t
+        if iterations == settings.max_iter:
+            reason = MAX_ITERATIONS
+            break
         if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        found = evaluate(t, block)
+            t, near = 0.5 * (lo + hi), False
+        pencil = assemble_B(mesh, profile, params, k, t)
+        found = evaluate(pencil, t, block)
         if found is None:
             return _no_branch(k, n)
         iterations += 1
@@ -282,43 +288,33 @@ def solve_lambda_n(mesh: Mesh, profile: DensityProfile, params: PhysicalParams,
         if not lo < x < hi:
             continue
         if fx > 0.0:
-            lo, f_lo = x, fx
+            lo = x
         elif fx < 0.0:
-            hi, f_hi = x, fx
-        elif x < x + 0.25 * settings.tol_rel * x:
-            # An exact root closes the bracket, unless the tolerance is
-            # below the float spacing there: no bracket can then meet it.
-            lo = hi = x
+            hi = x
 
-    # The secant root of a closed bracket is exact to its width squared.
-    rate = lo if lo == hi else lo + f_lo * (hi - lo) / (f_lo - f_hi)
-    interval_ok = hi - lo <= settings.tol_rel * hi
-    pencil = assemble_B(mesh, profile, params, k, rate)
-    # The warm gamma, a lower bound on gamma_n, and one count certify the
-    # rate; else a dense solve does, as only it declares a branch absent.
-    certificate = evaluate(rate, block, pencil)
-    counted = certificate is not None and certificate[0] >= -COUNT_SHIFT * rate
-    if not (counted and inertia_count(pencil, rate / gk2 * (1.0 + COUNT_SHIFT))
+    if pencil is None:  # the floor is the rate: no step was made
+        pencil = assemble_B(mesh, profile, params, k, x)
+    # The last evaluation's gamma, a Ritz value and so a lower bound on
+    # gamma_n, and one count certify the rate; else a dense solve does, as
+    # only it declares a branch absent.
+    counted = fx >= -COUNT_SHIFT * x
+    if not (counted and inertia_count(pencil, x / gk2 * (1.0 + COUNT_SHIFT))
             == n - 1):
-        certificate = evaluate(rate, None, pencil)
-    if certificate is None:
-        return _no_branch(k, n)
-    residual = abs(certificate[0])
-    converged = interval_ok and residual <= FIXED_POINT_RTOL * rate
-    if converged:
-        reason = None
-    elif not interval_ok:
-        reason = MAX_ITERATIONS
-    else:
+        found = evaluate(pencil, x)
+        if found is None:
+            return _no_branch(k, n)
+        fx = found[0]
+    residual = abs(fx)
+    if reason is None and not residual <= FIXED_POINT_RTOL * x:
         reason = RESIDUAL_ABOVE_TOLERANCE
     stats = SolveStats(dense_solves=dense_solves,
                        block_evaluations=block_evaluations,
                        block_iterations=block_iterations,
                        inertia_counts=int(counted),
                        start_bracket=(BRACKET_FLOOR * cap, cap),
-                       final_bracket=(lo, hi), residual_rel=residual / rate)
-    return GrowthRecord(k=k, n=n, lambda_n=rate, residual=residual,
-                        iterations=iterations, converged=converged,
+                       final_bracket=(lo, hi), residual_rel=residual / x)
+    return GrowthRecord(k=k, n=n, lambda_n=x, residual=residual,
+                        iterations=iterations, converged=reason is None,
                         reason=reason, stats=stats)
 
 

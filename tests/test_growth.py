@@ -143,6 +143,31 @@ def test_exact_zero_ends_the_root_finder(monkeypatch, profile, params, mesh64):
     assert rec.iterations == 1
 
 
+def test_newton_step_that_rounds_to_nothing_ends_the_root_finder(
+        monkeypatch, profile, params, mesh64):
+    # the first Newton step lands on 0.3, where f is one ulp and its own
+    # step a third of one: 0.3 is the rate, with no further evaluation
+    rec = _solve_synthetic(monkeypatch, mesh64, profile, params,
+                           lambda lam: 3.0 * (0.3 - lam) + 3.33e-17,
+                           lambda lam: -3.0)
+    assert rec.converged
+    assert rec.lambda_n == 0.3
+    assert rec.iterations == 1
+
+
+def test_floor_that_is_the_rate_is_certified(monkeypatch, profile, params,
+                                             mesh64):
+    # the floor's own Newton step rounds to nothing: no step is made, and
+    # the count reads a pencil assembled at the floor
+    rec = _solve_synthetic(monkeypatch, mesh64, profile, params,
+                           lambda lam: 3.0 * (1e-12 - lam) + 1.2e-28,
+                           lambda lam: -3.0)
+    assert rec.converged
+    assert rec.lambda_n == BRACKET_FLOOR
+    assert rec.iterations == 0
+    assert rec.stats.inertia_counts == 1
+
+
 def test_root_finder_survives_poor_interpolation(monkeypatch, profile, params,
                                                  mesh64):
     # flat above the root and steep below it: Newton from the lower end
@@ -357,16 +382,17 @@ def test_dispersion_solves_bracket_ends_once_per_k(profile, params, mesh64,
              + len(calls["branch_evaluation"]) - len(warm))
     # the cap's eigenvalues once per k; the floor's full decomposition at
     # the first k only, and each later floor one warm evaluation per
-    # branch; each record's certificate is a warm evaluation and one count
+    # branch; each record's certificate is its last step's evaluation
+    # and one count
     assert len(calls["gamma_values"]) == len(k_values)
     assert len(calls["dense_branches"]) == 1
     assert dense == len(k_values) + 1
-    assert len(warm) == (sum(r.iterations + 1 for r in records)
+    assert len(warm) == (sum(r.iterations for r in records)
                          + 4 * (len(k_values) - 1))
     assert len(calls["inertia_count"]) == len(records)
     for rec in records:
         assert rec.stats.dense_solves == 0
-        assert rec.stats.block_evaluations == rec.iterations + 1
+        assert rec.stats.block_evaluations == rec.iterations
         assert rec.stats.inertia_counts == 1
 
 
@@ -481,9 +507,9 @@ def test_warm_evaluations_fall_back_to_dense_solves(profile, params, mesh64,
         assert a.stats.dense_solves == 0
         assert a.stats.block_iterations >= a.iterations + 1
         assert b.stats.block_iterations == 0
-        # every warm evaluation falls back, the certificate's included
+        # every warm evaluation falls back; the certificate makes none
         assert b.stats.dense_solves == b.stats.block_evaluations
-        assert b.stats.block_evaluations == b.iterations + 1
+        assert b.stats.block_evaluations == b.iterations
         assert a.stats.inertia_counts == b.stats.inertia_counts == 1
         assert abs(a.lambda_n - b.lambda_n) <= 1e-12 * b.lambda_n
 
@@ -534,16 +560,25 @@ def test_failed_warm_floors_fall_back_to_dense_ones(params, monkeypatch,
 def test_records_report_how_they_were_found(profile, params, mesh64,
                                             growth_cap):
     settings_ = rt.SolverSettings()
-    rec = rt.solve_lambda_n(mesh64, profile, params, 1.0, 2, settings_)
+    k, n = 1.0, 2
+    rec = rt.solve_lambda_n(mesh64, profile, params, k, n, settings_)
     stats = rec.stats
     assert stats.dense_solves == 2  # the two bracket ends
-    # the certificate: one warm evaluation and one inertia count
+    # the certificate: the last step's warm evaluation and one count
     assert stats.inertia_counts == 1
-    assert stats.block_evaluations == rec.iterations + 1
+    assert stats.block_evaluations == rec.iterations
     assert stats.start_bracket == (BRACKET_FLOOR * growth_cap, growth_cap)
     lo, hi = stats.final_bracket
     assert lo <= rec.lambda_n <= hi
-    assert hi - lo <= settings_.tol_rel * hi
+    # the record stops on Newton's step test with its bracket still open
+    # at the cap, yet f changes sign within the tolerance of the rate (by
+    # the noise-free quotient: the dense gamma_n is too noisy here)
+    for scale, sign in ((1.0 - settings_.tol_rel, 1.0),
+                        (1.0 + settings_.tol_rel, -1.0)):
+        lam = rec.lambda_n * scale
+        gamma = branch_evaluation(
+            rt.assemble_B(mesh64, profile, params, k, lam), n).gamma
+        assert sign * (params.g * k * k * gamma - lam) > 0.0
     assert stats.residual_rel == rec.residual / rec.lambda_n
     assert dataclasses.replace(rec, stats=None) == rec
 
