@@ -14,16 +14,19 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
+from ._threads import single_threaded_blas, single_threaded_loading
 
-from ._threads import single_threaded_blas
-from .config import RunConfig, load_config
-from .equilibria import char_length
-from .errors import CoercivityError, ConfigError, NoUnstableBranchError, NumericalError
-from .growth_solver import (NO_UNSTABLE_BRANCH, GrowthRecord, dispersion, lambda_max,
-                            lattice_index)
-from .modes import MODE_COLUMNS, build_normal_mode, mode_table
-from .verify import SUITES, run_suite
+# numpy's and scipy's OpenBLAS load here, so they start with one thread.
+with single_threaded_loading():
+    import numpy as np
+
+    from .config import RunConfig, load_config
+    from .equilibria import char_length
+    from .errors import CoercivityError, ConfigError, NoUnstableBranchError, NumericalError
+    from .growth_solver import (NO_UNSTABLE_BRANCH, GrowthRecord, dispersion, lambda_max,
+                                lattice_index)
+    from .modes import MODE_COLUMNS, build_normal_mode, mode_table
+    from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

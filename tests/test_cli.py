@@ -2,6 +2,7 @@ import contextlib
 import ctypes
 import inspect
 import io
+import json
 import os
 import subprocess
 import sys
@@ -170,6 +171,56 @@ def test_cli_runs_when_no_openblas_is_found(tmp_path, monkeypatch, capsys):
     assert "no OpenBLAS found" in captured.err
     assert "OpenBLAS" not in captured.out
     assert len(out.read_text().splitlines()) > 1
+
+
+# Variables an OpenBLAS reads for its thread count when it loads.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Ends a child's script: print {library path: thread count} of every
+# loaded OpenBLAS, read through the getters of _OPENBLAS_THREAD_SYMBOLS.
+_PRINT_BLAS_THREADS = f"""
+import ctypes, json
+from rtspec import _threads
+threads = {{}}
+for path in _threads._loaded_openblas():
+    lib = ctypes.CDLL(path)
+    getter = next(getattr(lib, get) for _, get in {_OPENBLAS_THREAD_SYMBOLS!r}
+                  if hasattr(lib, get))
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    threads[path] = getter()
+print(json.dumps(threads))
+"""
+
+
+def _child_blas_threads(script: str, **thread_env: str) -> dict[str, int]:
+    """BLAS thread counts after ``script`` in a fresh interpreter whose only
+    thread variables are ``thread_env``."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(thread_env, PYTHONPATH=os.path.dirname(os.path.dirname(rt.__file__)))
+    out = subprocess.run([sys.executable, "-c", script + _PRINT_BLAS_THREADS],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("thread_env", [{}, {"OPENBLAS_NUM_THREADS": "4"}],
+                         ids=["unset", "openblas4"])
+def test_cli_import_loads_blas_single_threaded(thread_env):
+    # the pools start with one thread, and the caller's environment is kept
+    script = ("import os\nbefore = dict(os.environ)\nimport rtspec.cli\n"
+              "assert dict(os.environ) == before, 'the environment changed'\n")
+    threads = _child_blas_threads(script, **thread_env)
+    assert threads, "no OpenBLAS library is loaded"
+    assert set(threads.values()) == {1}
+
+
+def test_library_import_keeps_the_callers_blas_threads():
+    plain = _child_blas_threads("import numpy, scipy.linalg\n")
+    script = ("import numpy\nimport rtspec as rt\n"
+              "p = rt.DensityProfile(1.0, 2.0, 1.0, 'bump')\n"
+              "rt.dispersion(rt.build_mesh(p.a, 16), p, "
+              "rt.PhysicalParams(mu=1.0, g=1.0), [1.0], 1)\n")
+    assert plain
+    assert _child_blas_threads(script) == plain
 
 
 def test_dispersion_rejects_bad_range(tmp_path):
